@@ -1,8 +1,9 @@
 """Transformer decoding of fused tokens against queries, followed by the
-query-conditioned segmentation head: each query is deserialized into a 3x3
-convolution kernel, applied to the shared upsampled feature map to yield a
-per-query mask logit map, and a self-attention scorer softmax-weights the
-masks into the final prediction.
+query-conditioned segmentation head.  All N_q queries go through the head
+together: one matrix product synthesizes their 3x3 kernels, one convolution
+with the kernels as output channels turns the shared upsampled feature map
+into an (N_q, 4S, 4S) stack of mask logit maps, and a self-attention scorer
+softmax-weights the stack into the final prediction.
 """
 
 from __future__ import annotations
@@ -81,12 +82,14 @@ class DynamicKernel:
 
 @dataclass
 class MaskBundle:
+    """Head outputs of one forward pass.  In the dynamic-kernel modes the
+    per-query ``masks`` are views of the stack ``y`` was computed from and
+    record no tape nodes: they are for dumps and checks, not differentiable;
+    gradients flow through ``y`` and ``scores``."""
+
     masks: list        # N_q mask logit maps, each (4S, 4S)
     scores: Tensor     # (N_q,) mask weights
     y: Tensor          # (4S, 4S) aggregated logit map
-
-    def masks_array(self) -> np.ndarray:
-        return np.stack([m.data for m in self.masks])
 
 
 class MaskGenerator:
@@ -114,32 +117,47 @@ class MaskGenerator:
         mid = ad.conv2d(ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value)
         return ad.upsample2x(mid)
 
+    def _kernels(self, f_q: Tensor) -> tuple:
+        """(N, C) queries -> (N, 3, 3, Cp) taps and (N,) biases."""
+        cp = self.cfg.kernel_channels
+        raw = linear(f_q, self.w_p, self.b_p)
+        if self.cfg.kernel_activation == "relu":
+            raw = ad.relu(raw)
+        taps = ad.getitem(raw, (slice(None), slice(0, 9 * cp)))
+        return ad.reshape(taps, (f_q.shape[0], 3, 3, cp)), ad.getitem(raw, (slice(None), 9 * cp))
+
+    def _convolve(self, f_p: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+        """Shared (H, W, Cp) map against N kernels -> (N, H, W) logit maps:
+        one conv with the kernels as output channels, which is the same math
+        as one conv per kernel but shares the patch extraction."""
+        if weights.shape[3] != f_p.shape[2]:
+            raise DimensionError(f"kernel channels {weights.shape} vs map {f_p.shape}")
+        out = ad.conv2d(f_p, ad.transpose(weights, (1, 2, 3, 0)), bias)
+        return ad.transpose(out, (2, 0, 1))
+
+    def masks_from_queries(self, f_p: Tensor, f_q: Tensor) -> Tensor:
+        """(N_q, C) queries against the (4S, 4S, Cp) map -> (N_q, 4S, 4S)."""
+        return self._convolve(f_p, *self._kernels(f_q))
+
     def kernel_from_query(self, f_qn: Tensor, index: int = 0) -> DynamicKernel:
         """ReLU(W_p f_qn + b_p) split as 9*Cp kernel taps then one bias.
 
         Tap order is (kernel row, kernel column, channel), i.e. a row-major
         reshape of the leading 9*Cp entries to (3, 3, Cp).  With
         kernel_activation="identity" the ReLU (and the non-negativity of the
-        kernel) is dropped.
+        kernel) is dropped.  This is the one-query case of
+        ``masks_from_queries``' kernel synthesis.
         """
         cp = self.cfg.kernel_channels
-        row = ad.reshape(f_qn, (1, f_qn.shape[0]))
-        raw = linear(row, self.w_p, self.b_p)
-        if self.cfg.kernel_activation == "relu":
-            raw = ad.relu(raw)
-        f_pn = ad.reshape(raw, (9 * cp + 1,))
-        weights = ad.reshape(ad.getitem(f_pn, slice(0, 9 * cp)), (3, 3, cp))
-        bias = ad.getitem(f_pn, slice(9 * cp, 9 * cp + 1))
-        return DynamicKernel(weights=weights, bias=bias, source_query=index)
+        weights, bias = self._kernels(ad.reshape(f_qn, (1, f_qn.shape[0])))
+        return DynamicKernel(
+            weights=ad.reshape(weights, (3, 3, cp)), bias=bias, source_query=index
+        )
 
     def apply_dynamic_kernel(self, f_p: Tensor, kernel: DynamicKernel) -> Tensor:
         """Convolve the shared map with one query's kernel: a logit map."""
-        if kernel.weights.shape[2] != f_p.shape[2]:
-            raise DimensionError(
-                f"kernel channels {kernel.weights.shape} vs map {f_p.shape}"
-            )
-        k4 = ad.reshape(kernel.weights, (3, 3, f_p.shape[2], 1))
-        out = ad.conv2d(f_p, k4, ad.reshape(kernel.bias, (1,)))
+        weights = ad.reshape(kernel.weights, (1,) + kernel.weights.shape)
+        out = self._convolve(f_p, weights, ad.reshape(kernel.bias, (1,)))
         return ad.reshape(out, (f_p.shape[0], f_p.shape[1]))
 
     def fixed_head(self, f_p: Tensor) -> Tensor:
@@ -168,12 +186,10 @@ class QueryEstimator:
         return ad.softmax(logits, axis=0)
 
 
-def aggregate(masks: list, scores: Tensor) -> Tensor:
-    """Weighted sum of mask logit maps; weights broadcast per mask."""
-    if len(masks) != scores.shape[0]:
-        raise DimensionError(f"{len(masks)} masks vs {scores.shape[0]} scores")
-    y = None
-    for n, mask in enumerate(masks):
-        term = ad.mul(mask, ad.getitem(scores, n))
-        y = term if y is None else ad.add(y, term)
-    return y
+def aggregate(masks: Tensor, scores: Tensor) -> Tensor:
+    """Score-weighted sum of an (N_q, H, W) mask stack, adding the masks in
+    query order."""
+    if masks.ndim != 3 or masks.shape[0] != scores.shape[0]:
+        raise DimensionError(f"masks {masks.shape} vs scores {scores.shape}")
+    weights = ad.reshape(scores, (scores.shape[0], 1, 1))
+    return ad.tsum(ad.mul(masks, weights), axis=0)

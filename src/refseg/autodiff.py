@@ -216,15 +216,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Pointwise combine; ``op`` is ``"mul"`` or ``"add"``."""
-    if op == "mul":
-        return mul(a, b)
-    if op == "add":
-        return add(a, b)
-    raise ValueError(f"elementwise: unknown op {op!r}")
-
-
 def mulc(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
     out = Tensor(a.data * c)
@@ -246,10 +237,6 @@ def addc(a: Tensor, c: float) -> Tensor:
 
     _record(bw)
     return out
-
-
-def neg(a: Tensor) -> Tensor:
-    return mulc(a, -1.0)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -417,6 +404,35 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mulc(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, scale by ``gamma``, shift by ``beta``.
+    The forward rounds as the tmean/sub/powc composition does; the backward
+    is analytic."""
+    _check_same_dtype(x, gamma, "layer_norm")
+    _check_same_dtype(x, beta, "layer_norm")
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise DimensionError(f"layer_norm: input {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
+    inv_n = x.data.dtype.type(1.0 / n)
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * inv_n + x.data.dtype.type(eps)) ** -0.5
+    xhat = xc * inv
+    out = Tensor(xhat * gamma.data + beta.data)
+
+    def bw():
+        g = out.grad
+        if g is None:
+            return
+        _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
+        _accum(beta, g.reshape(-1, n).sum(axis=0))
+        gx = g * gamma.data
+        mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
+        _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)))
+
+    _record(bw)
+    return out
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
     """Numerically stabilized softmax; -inf entries map to exactly 0."""
     m = np.max(a.data, axis=axis, keepdims=True)
@@ -442,8 +458,10 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., M, K) @ (..., K, N); equal leading dims, if any, batch
+    independent products into one op, with no broadcasting between them."""
     _check_same_dtype(a, b, "matmul")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     out = Tensor(a.data @ b.data)
 
@@ -451,8 +469,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     _record(bw)
     return out

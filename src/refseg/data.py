@@ -215,6 +215,11 @@ def resolve(struct: tuple, shapes: Sequence[ShapeSpec], h: int, w: int) -> list:
 # scene generation
 
 
+def _pick(rng: np.random.Generator, seq: Sequence):
+    """``rng.choice(seq)``'s draw, without converting ``seq`` to an array."""
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _place_shapes(rng: np.random.Generator, grammar: GrammarConfig) -> Optional[list]:
     n = int(rng.integers(grammar.min_shapes, grammar.max_shapes + 1))
     size = grammar.image_size
@@ -223,8 +228,8 @@ def _place_shapes(rng: np.random.Generator, grammar: GrammarConfig) -> Optional[
         ok = False
         for _ in range(60):
             s = float(rng.uniform(grammar.size_frac_min, grammar.size_frac_max) * size)
-            kind = str(rng.choice(grammar.shapes))
-            color = str(rng.choice(grammar.colors))
+            kind = _pick(rng, grammar.shapes)
+            color = _pick(rng, grammar.colors)
             margin = (s * np.sqrt(2.0) if kind != "circle" else s) + 1.0
             if 2 * margin >= size:
                 continue
@@ -259,15 +264,15 @@ def _candidate_expression(
         sides = [s for s in SIDES if _on_side(t, s, size, size)]
         if not sides:
             return None
-        return ("attribute_side", t.color, t.kind, str(rng.choice(sides)))
+        return ("attribute_side", t.color, t.kind, _pick(rng, sides))
     others = [i for i in range(len(shapes)) if i != target]
     if not others:
         return None
-    ref = shapes[int(rng.choice(others))]
+    ref = shapes[_pick(rng, others)]
     sides = [s for s in SIDES if _side_of(t, ref, s)]
     if not sides:
         return None
-    return ("relation", t.kind, str(rng.choice(sides)), ref.color, ref.kind)
+    return ("relation", t.kind, _pick(rng, sides), ref.color, ref.kind)
 
 
 def generate_scene(seed: int, grammar: GrammarConfig) -> Sample:
@@ -279,7 +284,7 @@ def generate_scene(seed: int, grammar: GrammarConfig) -> Sample:
         if shapes is None:
             continue
         for _ in range(12):
-            template = str(rng.choice(grammar.templates))
+            template = _pick(rng, grammar.templates)
             target = int(rng.integers(len(shapes)))
             struct = _candidate_expression(rng, template, target, shapes, grammar)
             if struct is None:

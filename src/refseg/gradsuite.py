@@ -257,12 +257,7 @@ def _block_checks(rng) -> list:
         proj = _sparse((4 * s, 4 * s), rng)
 
         def f():
-            f_p = gen.project_fp(f_s)
-            masks = []
-            for n in range(cfg.num_queries):
-                f_qn = ad.reshape(ad.getitem(f_q, (slice(n, n + 1), slice(None))), (cfg.fusion_width,))
-                masks.append(gen.apply_dynamic_kernel(f_p, gen.kernel_from_query(f_qn, n)))
-            y = aggregate(masks, est(f_q))
+            y = aggregate(gen.masks_from_queries(gen.project_fp(f_s), f_q), est(f_q))
             return ad.tsum(ad.mul(y, proj))
 
         return ("block.aligner", f, store.parameters(), BLOCK_EPS)

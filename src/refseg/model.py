@@ -87,31 +87,13 @@ class Model:
             mask = self.mask_gen.fixed_head(f_p)
             return MaskBundle(masks=[mask], scores=Tensor(np.ones(1, dtype=self.dtype)), y=mask)
 
-        # one conv with the kernels stacked as output channels is the same
-        # math as a conv per query, but shares the patch extraction
-        nq = self.cfg.num_queries
-        kernels = []
-        for n in range(nq):
-            f_qn = ad.reshape(
-                ad.getitem(f_q, (slice(n, n + 1), slice(None))), (self.cfg.fusion_width,)
-            )
-            kernels.append(self.mask_gen.kernel_from_query(f_qn, index=n))
-        stack = ad.concat(
-            [ad.reshape(k.weights, (3, 3, self.cfg.kernel_channels, 1)) for k in kernels], axis=3
-        )
-        biases = ad.concat([ad.reshape(k.bias, (1,)) for k in kernels], axis=0)
-        joint = ad.conv2d(f_p, stack, biases)
-        side = f_p.shape[0]
-        masks = [
-            ad.reshape(ad.getitem(joint, (slice(None), slice(None), n)), (side, side))
-            for n in range(nq)
-        ]
-
+        stack = self.mask_gen.masks_from_queries(f_p, f_q)
         if mode == "no_estimator":
             scores = Tensor(np.ones(self.cfg.num_queries, dtype=self.dtype))
         else:
             scores = self.estimator(f_q)
-        return MaskBundle(masks=masks, scores=scores, y=aggregate(masks, scores))
+        masks = [Tensor(m) for m in stack.data]
+        return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores))
 
     def forward_expression(self, image: Tensor, expression: str, mode: str = "full") -> MaskBundle:
         return self.forward(image, self.tokenize(expression), mode=mode)

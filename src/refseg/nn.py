@@ -109,11 +109,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = ad.tmean(x, axis=-1, keepdims=True)
-        xc = ad.sub(x, mu)
-        var = ad.tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
-        inv = ad.powc(ad.addc(var, self.eps), -0.5)
-        return ad.add(ad.mul(ad.mul(xc, inv), self.gamma.value), self.beta.value)
+        return ad.layer_norm(x, self.gamma.value, self.beta.value, self.eps)
 
 
 class MultiHeadAttention:
@@ -141,7 +137,7 @@ class MultiHeadAttention:
         self.bv = store.parameter(f"{name}.bv", (width,), zeros_init)
         self.wo = store.parameter(f"{name}.wo", (width, width), ini)
         self.bo = store.parameter(f"{name}.bo", (width,), zeros_init)
-        self.last_weights: Optional[np.ndarray] = None  # (heads, Tq, Tk) debug copy
+        self.last_weights: Optional[np.ndarray] = None  # (heads, Tq, Tk), last call
 
     def __call__(
         self,
@@ -150,28 +146,18 @@ class MultiHeadAttention:
         key_bias: Optional[np.ndarray] = None,
     ) -> Tensor:
         src = x if kv is None else kv
-        q = linear(x, self.wq, self.bq)
-        k = linear(src, self.wk)
-        v = linear(src, self.wv, self.bv)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        bias_t = None
+        tq, tk, h, d = x.shape[0], src.shape[0], self.heads, self.head_dim
+        # every head at once: (heads, T, d) stacks through batched matmuls
+        q = ad.transpose(ad.reshape(linear(x, self.wq, self.bq), (tq, h, d)), (1, 0, 2))
+        k_t = ad.transpose(ad.reshape(linear(src, self.wk), (tk, h, d)), (1, 2, 0))
+        v = ad.transpose(ad.reshape(linear(src, self.wv, self.bv), (tk, h, d)), (1, 0, 2))
+        logits = ad.mulc(ad.matmul(q, k_t), 1.0 / math.sqrt(d))
         if key_bias is not None:
-            bias_t = Tensor(np.asarray(key_bias, dtype=x.data.dtype))
-        outs = []
-        weights = []
-        for h in range(self.heads):
-            cols = (slice(None), slice(h * self.head_dim, (h + 1) * self.head_dim))
-            qh = ad.getitem(q, cols)
-            kh = ad.getitem(k, cols)
-            vh = ad.getitem(v, cols)
-            logits = ad.mulc(ad.matmul(qh, ad.transpose(kh)), scale)
-            if bias_t is not None:
-                logits = ad.add(logits, bias_t)
-            w = ad.softmax(logits, axis=-1)
-            weights.append(w.data)
-            outs.append(ad.matmul(w, vh))
-        self.last_weights = np.stack(weights)
-        return linear(ad.concat(outs, axis=1), self.wo, self.bo)
+            logits = ad.add(logits, Tensor(np.asarray(key_bias, dtype=x.data.dtype)))
+        w = ad.softmax(logits, axis=-1)
+        self.last_weights = w.data
+        heads = ad.transpose(ad.matmul(w, v), (1, 0, 2))
+        return linear(ad.reshape(heads, (tq, self.width)), self.wo, self.bo)
 
 
 class FeedForward:
@@ -186,8 +172,3 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(ad.relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
-
-
-def mhsa(x: Tensor, block: MultiHeadAttention) -> Tensor:
-    """Functional alias used where call sites read better as an operation."""
-    return block(x)

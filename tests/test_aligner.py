@@ -146,6 +146,17 @@ class TestMaskGenerator:
         ref = naive_conv(f_p, w[:, :, :, None], b)
         assert np.array_equal(mask.data, ref[:, :, 0])
 
+    def test_masks_from_queries_match_single_query_path(self, tiny_cfg, rng):
+        cfg3 = dataclasses.replace(tiny_cfg, num_queries=3)
+        gen, _ = build(MaskGenerator, cfg3)
+        f_p = Tensor(rng.standard_normal((8, 8, cfg3.kernel_channels)))
+        f_q = rng.standard_normal((3, cfg3.fusion_width))
+        stack = gen.masks_from_queries(f_p, Tensor(f_q))
+        assert stack.shape == (3, 8, 8)
+        for n in range(3):
+            mask = gen.apply_dynamic_kernel(f_p, gen.kernel_from_query(Tensor(f_q[n]), n))
+            assert np.abs(stack.data[n] - mask.data).max() < 1e-12
+
 
 class TestEstimator:
     def test_single_query_scores_one_exactly(self, tiny_cfg, rng):
@@ -184,22 +195,21 @@ def test_scores_tell_queries_apart_at_init():
 
 class TestAggregate:
     def test_single_mask_identity(self, rng):
-        m = Tensor(rng.standard_normal((8, 8)))
-        y = aggregate([m], Tensor(np.array([1.0])))
-        assert np.array_equal(y.data, m.data)
+        m = rng.standard_normal((8, 8))
+        y = aggregate(Tensor(m[None]), Tensor(np.array([1.0])))
+        assert np.array_equal(y.data, m)
 
     def test_equal_scores_identical_masks(self, rng):
         arr = rng.standard_normal((6, 6))
-        masks = [Tensor(arr.copy()) for _ in range(4)]
-        y = aggregate(masks, Tensor(np.full(4, 0.25)))
+        y = aggregate(Tensor(np.stack([arr] * 4)), Tensor(np.full(4, 0.25)))
         assert np.allclose(y.data, arr)
 
     def test_matches_weighted_sum_oracle(self, rng):
-        masks = [Tensor(rng.standard_normal((5, 7))) for _ in range(3)]
+        masks = rng.standard_normal((3, 5, 7))
         w = rng.random(3)
         w /= w.sum()
-        y = aggregate(masks, Tensor(w))
-        expected = sum(wi * m.data for wi, m in zip(w, masks))
+        y = aggregate(Tensor(masks), Tensor(w))
+        expected = sum(wi * m for wi, m in zip(w, masks))
         assert np.allclose(y.data, expected, atol=1e-12)
 
 
@@ -288,3 +298,21 @@ class TestFullModel:
             f_qn = Tensor(rng.standard_normal(c))
             k = model.mask_gen.kernel_from_query(f_qn)
             assert k.weights.data.size + k.bias.data.size == 9 * (c // 2) + 1
+
+
+def test_forward_tape_budget(vocab):
+    """A default-config forward records at most 350 tape nodes, and the
+    count does not grow with the number of heads or queries: each runs as
+    one batched op."""
+    from refseg.config import ModelConfig
+
+    sample = generate_scene(5, GrammarConfig())
+    counts = {}
+    for kw in ({}, {"num_queries": 2}, {"heads": 2}):
+        model = Model(dataclasses.replace(ModelConfig(), **kw), vocab, seed=0)
+        image = Tensor(np.asarray(sample.image, dtype=model.dtype))
+        with ad.Tape() as tape:
+            model.forward(image, model.tokenize(sample.expression), mode="full")
+        counts[tuple(kw.items())] = len(tape)
+    assert counts[()] <= 350
+    assert len(set(counts.values())) == 1, counts

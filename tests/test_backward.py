@@ -118,3 +118,52 @@ def test_mhsa_gradcheck(rng):
     proj = Tensor(rng.standard_normal((4, 6)))
     err = grad_check(lambda: ad.tsum(ad.mul(attn(x.value), proj)), store.parameters())
     assert err < 1e-4
+
+
+def per_head_reference(attn, x, kv=None, key_bias=None):
+    """Numpy multi-head attention with an explicit loop over heads."""
+    src = x if kv is None else kv
+    q = x @ attn.wq.value.data + attn.bq.value.data
+    k = src @ attn.wk.value.data
+    v = src @ attn.wv.value.data + attn.bv.value.data
+    d = attn.head_dim
+    outs, weights = [], []
+    for h in range(attn.heads):
+        cols = slice(h * d, (h + 1) * d)
+        logits = q[:, cols] @ k[:, cols].T / np.sqrt(d)
+        if key_bias is not None:
+            logits = logits + key_bias
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        weights.append(w)
+        outs.append(w @ v[:, cols])
+    out = np.concatenate(outs, axis=1) @ attn.wo.value.data + attn.bo.value.data
+    return out, np.stack(weights)
+
+
+@pytest.mark.parametrize("case", ["self", "cross", "key_bias"])
+def test_fused_mha_matches_per_head_reference(case, rng):
+    store = ParamStore(dtype=np.float64, seed=7)
+    attn = MultiHeadAttention(store, "attn", 12, 3)
+    x = rng.standard_normal((5, 12))
+    kv = rng.standard_normal((7, 12)) if case == "cross" else None
+    key_bias = None
+    if case == "key_bias":
+        key_bias = np.array([0.0, 0.0, 0.0, -np.inf, -np.inf])
+    out = attn(Tensor(x), kv=None if kv is None else Tensor(kv), key_bias=key_bias)
+    ref, ref_weights = per_head_reference(attn, x, kv, key_bias)
+    assert np.abs(out.data - ref).max() < 1e-12
+    assert attn.last_weights.shape == ref_weights.shape
+    assert np.abs(attn.last_weights - ref_weights).max() < 1e-12
+    if key_bias is not None:
+        assert np.all(attn.last_weights[:, :, 3:] == 0.0)
+
+
+def test_mha_tape_nodes_independent_of_heads(rng):
+    counts = []
+    for heads in (1, 2, 4):
+        attn = MultiHeadAttention(ParamStore(dtype=np.float64, seed=0), "attn", 8, heads)
+        with Tape() as tape:
+            attn(Tensor(rng.standard_normal((6, 8))), key_bias=np.zeros(6))
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2] <= 20

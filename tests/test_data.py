@@ -1,5 +1,7 @@
 """Synthetic scenes: rasterization, uniqueness, determinism, disk format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,24 @@ def test_colors_render_flat_fill():
     target = s.shapes[s.target_index]
     inside = s.image[s.gt_mask.astype(bool)]
     assert np.allclose(inside, COLOR_TABLE[target.color])
+
+
+def _split_digest(samples) -> str:
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(np.ascontiguousarray(s.image).tobytes())
+        h.update(np.ascontiguousarray(s.gt_mask).tobytes())
+        h.update(s.expression.encode())
+    return h.hexdigest()
+
+
+def test_generated_splits_match_recorded_digests():
+    """The trend-fixture split and a default split hash to recorded digests:
+    the acceptance gates train and score on these draws, so a change to the
+    generator must not move a single one."""
+    from test_acceptance import BENCH_GRAMMAR
+
+    trend = generate_split(3000, 64, BENCH_GRAMMAR)
+    default = generate_split(1, 32, GrammarConfig())
+    assert _split_digest(trend) == "2e292a8a80666665ba87d1585a577b7ce8e78969e61c00881574c73ba9bb7b12"
+    assert _split_digest(default) == "2ef75abe6c7b6ece3dd401f923f0481aac961f583ef0c0814d1383c1622e5c8b"

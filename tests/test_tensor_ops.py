@@ -100,6 +100,28 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
 
 
+def test_batched_matmul_backward_matches_finite_differences(rng):
+    store = ParamStore(dtype=np.float64, seed=0)
+    a = randn_param(store, "a", (3, 5, 4), rng)
+    b = randn_param(store, "b", (3, 4, 2), rng)
+    proj = Tensor(rng.standard_normal((3, 5, 2)))
+    out = ad.matmul(a.value, b.value)
+    for i in range(3):  # each slice is its own product
+        assert np.allclose(out.data[i], a.value.data[i] @ b.value.data[i], atol=1e-12)
+    err = grad_check(lambda: ad.tsum(ad.mul(ad.matmul(a.value, b.value), proj)), [a, b], eps=1e-5)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 5, 6))],
+)
+def test_batched_matmul_mismatch_names_both_shapes(a_shape, b_shape):
+    with pytest.raises(DimensionError) as e:
+        ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+    assert str(a_shape) in str(e.value) and str(b_shape) in str(e.value)
+
+
 def test_mixed_precision_rejected():
     with pytest.raises(PrecisionError):
         ad.add(Tensor(np.zeros(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float64)))
@@ -245,9 +267,9 @@ def test_softmax_masked_entries_exactly_zero():
 
 def test_elementwise_identities(rng):
     x = rng.standard_normal((4, 5))
-    assert np.array_equal(ad.elementwise(Tensor(np.ones_like(x)), Tensor(x), "mul").data, x)
+    assert np.array_equal(ad.mul(Tensor(np.ones_like(x)), Tensor(x)).data, x)
     assert np.array_equal(ad.mul(Tensor(np.zeros_like(x)), Tensor(x)).data, np.zeros_like(x))
-    assert np.array_equal(ad.elementwise(Tensor(x), Tensor(np.zeros_like(x)), "add").data, x)
+    assert np.array_equal(ad.add(Tensor(x), Tensor(np.zeros_like(x))).data, x)
 
 
 def test_elementwise_row_broadcast_matches_tiling(rng):
@@ -287,3 +309,60 @@ def test_composite_ops_gradcheck(shape, rng):
         return ad.tsum(ad.exp(ad.mulc(y, 0.1)))
 
     assert grad_check(f, [x]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# layer_norm
+
+
+def composed_layer_norm(x, gamma, beta, eps):
+    """LayerNorm as a chain of primitive taped ops."""
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    inv = ad.powc(ad.addc(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv), gamma), beta)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (1, 5), (2, 3, 8)])
+def test_layer_norm_gradcheck(shape, rng):
+    store = ParamStore(dtype=np.float64, seed=0)
+    x = randn_param(store, "x", shape, rng)
+    gamma = randn_param(store, "gamma", shape[-1:], rng)
+    beta = randn_param(store, "beta", shape[-1:], rng)
+    proj = Tensor(rng.standard_normal(shape))
+
+    def f():
+        return ad.tsum(ad.mul(ad.layer_norm(x.value, gamma.value, beta.value, 1e-5), proj))
+
+    assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-6
+
+
+def test_layer_norm_matches_composed_formula(rng):
+    x = Tensor(3.0 * rng.standard_normal((7, 10)) + 1.5)
+    gamma = Tensor(rng.standard_normal(10))
+    beta = Tensor(rng.standard_normal(10))
+    proj = rng.standard_normal((7, 10))
+    grads = []
+    for fn in (ad.layer_norm, composed_layer_norm):
+        for t in (x, gamma, beta):
+            t.grad = None
+        with ad.Tape() as tape:
+            y = fn(x, gamma, beta, 1e-5)
+            loss = ad.tsum(ad.mul(y, Tensor(proj)))
+        ad.backward(tape, loss)
+        grads.append((y.data, x.grad, gamma.grad, beta.grad))
+    for fused, composed in zip(*grads):
+        assert np.abs(fused - composed).max() < 1e-12
+
+
+def test_layer_norm_records_one_node(rng):
+    x = Tensor(rng.standard_normal((3, 4)))
+    with ad.Tape() as tape:
+        ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+    assert len(tape) == 1
+
+
+def test_layer_norm_width_mismatch():
+    with pytest.raises(DimensionError):
+        ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
