@@ -1,9 +1,11 @@
 """Transformer decoding of fused tokens against queries, followed by the
-query-conditioned segmentation head.  All N_q queries go through the head
-together: one matrix product synthesizes their 3x3 kernels, one convolution
-with the kernels as output channels turns the shared upsampled feature map
-into an (N_q, 4S, 4S) stack of mask logit maps, and a self-attention scorer
-softmax-weights the stack into the final prediction.
+query-conditioned segmentation head.  All N_q queries of every sample go
+through the head together: one matrix product synthesizes their 3x3
+kernels, one convolution with each sample's kernels as its output channels
+turns that sample's upsampled feature map into an (N_q, 4S, 4S) stack of
+mask logit maps, and a self-attention scorer softmax-weights each stack into
+that sample's prediction.  Every shape below takes an optional leading
+batch axis.
 """
 
 from __future__ import annotations
@@ -53,16 +55,17 @@ class TransformerDecoder:
             )
 
     def __call__(self, f_vt: Tensor, f_q: Tensor) -> Tensor:
-        """(N, C) tokens against (N_q, C) queries -> (S, S, C) features."""
+        """(..., N, C) tokens against (..., N_q, C) queries -> (..., S, S, C)
+        features."""
         s = self.cfg.grid_size
-        if f_vt.shape[0] != s * s:
+        if f_vt.shape[-2] != s * s:
             raise DimensionError(f"expected {s * s} visual tokens, got {f_vt.shape}")
         x = f_vt
         for layer in self.layers:
             x = layer["ln1"](ad.add(x, layer["self"](x)))
             x = layer["ln2"](ad.add(x, layer["cross"](x, kv=f_q)))
             x = layer["ln3"](ad.add(x, layer["ffn"](x)))
-        return ad.reshape(x, (s, s, self.cfg.fusion_width))
+        return ad.reshape(x, f_vt.shape[:-2] + (s, s, self.cfg.fusion_width))
 
 
 @dataclass
@@ -82,14 +85,14 @@ class DynamicKernel:
 
 @dataclass
 class MaskBundle:
-    """Head outputs of one forward pass.  In the dynamic-kernel modes the
-    per-query ``masks`` are views of the stack ``y`` was computed from and
-    record no tape nodes: they are for dumps and checks, not differentiable;
-    gradients flow through ``y`` and ``scores``."""
+    """Head outputs of one forward pass, of one sample or of a batch.  In
+    the dynamic-kernel modes the per-query ``masks`` are views of the stack
+    ``y`` was computed from and record no tape nodes: they are for dumps and
+    checks, not differentiable; gradients flow through ``y`` and ``scores``."""
 
-    masks: list        # N_q mask logit maps, each (4S, 4S)
-    scores: Tensor     # (N_q,) mask weights
-    y: Tensor          # (4S, 4S) aggregated logit map
+    masks: list        # N_q mask logit maps, each (..., 4S, 4S)
+    scores: Tensor     # (..., N_q) mask weights
+    y: Tensor          # (..., 4S, 4S) aggregated logit map
 
 
 class MaskGenerator:
@@ -113,30 +116,34 @@ class MaskGenerator:
         self.fixed_bias = store.parameter("aligner.fixed.bias", (1,), zeros_init)
 
     def project_fp(self, f_s: Tensor) -> Tensor:
-        """(S, S, C) -> (4S, 4S, Cp): upsample, 3x3 conv, upsample."""
+        """(..., S, S, C) -> (..., 4S, 4S, Cp): upsample, 3x3 conv, upsample."""
         mid = ad.conv2d(ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value)
         return ad.upsample2x(mid)
 
     def _kernels(self, f_q: Tensor) -> tuple:
-        """(N, C) queries -> (N, 3, 3, Cp) taps and (N,) biases."""
+        """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N) biases."""
         cp = self.cfg.kernel_channels
         raw = linear(f_q, self.w_p, self.b_p)
         if self.cfg.kernel_activation == "relu":
             raw = ad.relu(raw)
-        taps = ad.getitem(raw, (slice(None), slice(0, 9 * cp)))
-        return ad.reshape(taps, (f_q.shape[0], 3, 3, cp)), ad.getitem(raw, (slice(None), 9 * cp))
+        taps = ad.getitem(raw, (Ellipsis, slice(0, 9 * cp)))
+        return ad.reshape(taps, f_q.shape[:-1] + (3, 3, cp)), ad.getitem(raw, (Ellipsis, 9 * cp))
 
     def _convolve(self, f_p: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-        """Shared (H, W, Cp) map against N kernels -> (N, H, W) logit maps:
-        one conv with the kernels as output channels, which is the same math
-        as one conv per kernel but shares the patch extraction."""
-        if weights.shape[3] != f_p.shape[2]:
+        """(..., H, W, Cp) map against its (..., N) kernels -> (..., N, H, W)
+        logit maps: one conv with each sample's kernels as its output
+        channels, which is the same math as one conv per kernel but shares
+        the patch extraction."""
+        if weights.shape[-1] != f_p.shape[-1] or weights.shape[:-4] != f_p.shape[:-3]:
             raise DimensionError(f"kernel channels {weights.shape} vs map {f_p.shape}")
-        out = ad.conv2d(f_p, ad.transpose(weights, (1, 2, 3, 0)), bias)
-        return ad.transpose(out, (2, 0, 1))
+        n = weights.ndim - 4
+        keep = tuple(range(n))
+        out = ad.conv2d(f_p, ad.transpose(weights, keep + (n + 1, n + 2, n + 3, n)), bias)
+        return ad.transpose(out, keep + (n + 2, n, n + 1))
 
     def masks_from_queries(self, f_p: Tensor, f_q: Tensor) -> Tensor:
-        """(N_q, C) queries against the (4S, 4S, Cp) map -> (N_q, 4S, 4S)."""
+        """(..., N_q, C) queries against the (..., 4S, 4S, Cp) map ->
+        (..., N_q, 4S, 4S)."""
         return self._convolve(f_p, *self._kernels(f_q))
 
     def kernel_from_query(self, f_qn: Tensor, index: int = 0) -> DynamicKernel:
@@ -162,7 +169,7 @@ class MaskGenerator:
 
     def fixed_head(self, f_p: Tensor) -> Tensor:
         out = ad.conv2d(f_p, self.fixed_kernel.value, self.fixed_bias.value)
-        return ad.reshape(out, (f_p.shape[0], f_p.shape[1]))
+        return ad.reshape(out, f_p.shape[:-1])
 
 
 class QueryEstimator:
@@ -181,15 +188,16 @@ class QueryEstimator:
         self.w_s = store.parameter("estimator.w_s", (c, 1), linear_init(c))
 
     def __call__(self, f_q: Tensor) -> Tensor:
+        """(..., N_q, C) queries -> (..., N_q) scores."""
         h = ad.add(f_q, self.attn(f_q))
-        logits = ad.reshape(linear(h, self.w_s), (f_q.shape[0],))
-        return ad.softmax(logits, axis=0)
+        logits = ad.reshape(linear(h, self.w_s), f_q.shape[:-1])
+        return ad.softmax(logits, axis=-1)
 
 
 def aggregate(masks: Tensor, scores: Tensor) -> Tensor:
-    """Score-weighted sum of an (N_q, H, W) mask stack, adding the masks in
-    query order."""
-    if masks.ndim != 3 or masks.shape[0] != scores.shape[0]:
+    """Score-weighted sum of each sample's (N_q, H, W) mask stack, adding
+    the masks in query order: (..., N_q, H, W) and (..., N_q) -> (..., H, W)."""
+    if masks.ndim < 3 or masks.shape[:-2] != scores.shape:
         raise DimensionError(f"masks {masks.shape} vs scores {scores.shape}")
-    weights = ad.reshape(scores, (scores.shape[0], 1, 1))
-    return ad.tsum(ad.mul(masks, weights), axis=0)
+    weights = ad.reshape(scores, scores.shape + (1, 1))
+    return ad.tsum(ad.mul(masks, weights), axis=-3)

@@ -3,14 +3,20 @@
 Values are numpy arrays in float32 or float64, channels-last and row-major
 everywhere.  Operations executed while a :class:`Tape` is active append a
 backward closure to it; :func:`backward` replays the tape in reverse
-execution order, accumulating gradients into every reachable tensor.
-Tensors are treated as immutable once created: no operation writes to its
-operands, so a tape can always be replayed against the values it captured.
+execution order, accumulating gradients into every reachable tensor.  Once
+the node that produced a tensor has run, that tensor's gradient is dropped:
+after backward only leaves (parameters and inputs) hold one.  Tensors are
+treated as immutable once created: no operation writes to its operands, so
+a tape can always be replayed against the values it captured.
 
-Broadcast semantics for ``add``/``mul``/``sub`` follow numpy; the contract
-relied on elsewhere is equal shapes, a scalar against anything, or a
-length-C row vector against an (T, C) matrix (the vector applies to every
-row).  Gradients of broadcast operands are sum-reduced back to their shape.
+Shape contract: every op takes an optional leading batch axis, and the
+unbatched shape is the same code with no leading dims.  Spatial ops take
+(H, W, C) or (B, H, W, C) maps; ``conv2d`` also takes one kernel and bias
+per sample.  ``matmul`` takes (..., M, K) against either a shared (K, N)
+weight or a (..., K, N) operand with equal leading dims.
+
+Broadcast semantics for ``add``/``mul``/``sub`` follow numpy; gradients of
+broadcast operands are sum-reduced back to their shape.
 """
 
 from __future__ import annotations
@@ -59,10 +65,17 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(backward_fn: Callable[[], None]) -> None:
+def _record(out: "Tensor", backward_fn: Callable[[], None]) -> None:
+    """Record ``backward_fn``; once it has run, ``out``'s gradient has been
+    passed on to the operands and is released."""
     tape = active_tape()
     if tape is not None:
-        tape.record(backward_fn)
+
+        def node():
+            backward_fn()
+            out.grad = None
+
+        tape.record(node)
 
 
 class Tensor:
@@ -176,7 +189,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -194,7 +207,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -212,7 +225,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -224,7 +237,7 @@ def mulc(a: Tensor, c: float) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad * c)
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -235,7 +248,7 @@ def addc(a: Tensor, c: float) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad)
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -247,19 +260,7 @@ def relu(a: Tensor) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad * (a.data > 0))
 
-    _record(bw)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y)
-
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad * y * (1.0 - y))
-
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -271,18 +272,7 @@ def exp(a: Tensor) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad * y)
 
-    _record(bw)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad / a.data)
-
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -294,7 +284,7 @@ def powc(a: Tensor, p: float) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad * p * a.data ** (p - 1))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -309,12 +299,14 @@ def reshape(a: Tensor, shape) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad.reshape(a.shape))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
 def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    ax = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
+    """Permute axes; by default swap the last two (a batched matrix
+    transpose)."""
+    ax = tuple(axes) if axes is not None else (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
     inv = tuple(np.argsort(ax))
     out = Tensor(a.data.transpose(ax))
 
@@ -322,7 +314,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
         if out.grad is not None:
             _accum(a, out.grad.transpose(inv))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -345,7 +337,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(int(lo), int(hi))
             _accum(p, g[tuple(idx)])
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -370,7 +362,7 @@ def getitem(a: Tensor, idx) -> Tensor:
         else:
             a.grad[idx] += g
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -392,7 +384,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -429,7 +421,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
         _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -449,7 +441,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -458,21 +450,31 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., M, K) @ (..., K, N); equal leading dims, if any, batch
-    independent products into one op, with no broadcasting between them."""
+    """(..., M, K) @ (K, N), one weight shared across the leading dims and
+    computed as one GEMM over the flattened rows; or (..., M, K) @
+    (..., K, N) with equal leading dims, which batches independent products
+    with no broadcasting between them."""
     _check_same_dtype(a, b, "matmul")
-    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+    shared = b.ndim == 2
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or not (shared or a.shape[:-2] == b.shape[:-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    out = Tensor(a.data @ b.data)
+    k = a.shape[-1]
+    if shared:
+        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + b.shape[-1:]))
+    else:
+        out = Tensor(a.data @ b.data)
 
     def bw():
         g = out.grad
         if g is None:
             return
         _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        if shared:
+            _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]))
+        else:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -483,64 +485,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
     if not pad:
         return x
-    h, w, c = x.shape
-    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[pad : pad + h, pad : pad + w] = x
+    *lead, h, w, c = x.shape
+    xp = np.zeros((*lead, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[..., pad : pad + h, pad : pad + w, :] = x
     return xp
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(H, W, C) -> (H*W, k*k*C) patch matrix, stride 1."""
-    h, w, c = x.shape
-    xp = _pad_spatial(x, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    # win: (H, W, C, k, k) -> (H, W, k, k, C) -> (H*W, k*k*C)
-    return win.transpose(0, 1, 3, 4, 2).reshape(h * w, k * k * c)
+    """(..., H, W, C) -> (..., H*W, k*k*C) patch matrix, stride 1."""
+    *lead, h, w, c = x.shape
+    n = len(lead)
+    win = np.lib.stride_tricks.sliding_window_view(_pad_spatial(x, pad), (k, k), axis=(n, n + 1))
+    # win: (..., H, W, C, k, k) -> (..., H, W, k, k, C) -> (..., H*W, k*k*C)
+    win = win.transpose(*range(n + 2), n + 3, n + 4, n + 2)
+    return win.reshape(*lead, h * w, k * k * c)
 
 
 def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     # Accumulates taps in (dy, dx, cin) order per output element, matching a
-    # scalar reference loop bit-for-bit in any precision.
-    h, w, _ = x.shape
-    kk = k.shape[0]
-    cout = k.shape[3]
+    # scalar reference loop bit-for-bit in any precision.  A per-sample
+    # kernel (B, k, k, Cin, Cout) and bias (B, Cout) broadcast over H and W.
+    *lead, h, w, _ = x.shape
+    per_sample = k.ndim == 5
+    if per_sample:
+        k = k[:, None, None]  # (B, 1, 1, k, k, Cin, Cout)
+        if b is not None:
+            b = b[:, None, None, :]
+    kk = k.shape[-4]
     xp = _pad_spatial(x, pad)
-    if b is None:
-        acc = np.zeros((h, w, cout), dtype=x.dtype)
-    else:
-        acc = np.broadcast_to(b, (h, w, cout)).copy()
+    shape = (*lead, h, w, k.shape[-1])
+    acc = np.zeros(shape, dtype=x.dtype) if b is None else np.broadcast_to(b, shape).copy()
     for dy in range(kk):
         for dx in range(kk):
-            patch = xp[dy : dy + h, dx : dx + w, :]
-            for ci in range(k.shape[2]):
-                acc += patch[:, :, ci : ci + 1] * k[dy, dx, ci, :]
+            patch = xp[..., dy : dy + h, dx : dx + w, :]
+            for ci in range(k.shape[-2]):
+                acc += patch[..., ci : ci + 1] * k[..., dy, dx, ci, :]
     return acc
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, padding: Optional[int] = None) -> Tensor:
-    """Stride-1 2D convolution on an (H, W, Cin) map, spatial size preserved.
+    """Stride-1 2D convolution of an (H, W, Cin) or (B, H, W, Cin) map,
+    spatial size preserved.
 
-    ``kernel`` is (k, k, Cin, Cout) with odd k; default padding (k-1)//2.
+    ``kernel`` is (k, k, Cin, Cout) with odd k, shared by every sample, or
+    (B, k, k, Cin, Cout) with one kernel per sample of a batched map; the
+    bias is (Cout,) or (B, Cout) to match.  Default padding (k-1)//2.
     The double-precision forward accumulates taps in a fixed order and is
     bit-reproducible against a naive per-pixel loop.
     """
-    if x.ndim != 3 or kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
+    per_sample = kernel.ndim == 5
+    batch = kernel.shape[:1] if per_sample else ()
+    if (
+        x.ndim not in (3, 4)
+        or kernel.ndim not in (4, 5)
+        or (per_sample and x.shape[:-3] != batch)
+        or kernel.shape[-4] != kernel.shape[-3]
+    ):
         raise DimensionError(f"conv2d: input {x.shape}, kernel {kernel.shape}")
-    k = kernel.shape[0]
+    k, cin, cout = kernel.shape[-3], kernel.shape[-2], kernel.shape[-1]
     if k % 2 != 1:
         raise DimensionError(f"conv2d: kernel size {k} must be odd")
-    if kernel.shape[2] != x.shape[2]:
+    if cin != x.shape[-1]:
         raise DimensionError(
             f"conv2d: input channels {x.shape} do not match kernel {kernel.shape}"
         )
     _check_same_dtype(x, kernel, "conv2d")
     if bias is not None:
         _check_same_dtype(x, bias, "conv2d")
-        if bias.shape != (kernel.shape[3],):
+        if bias.shape != batch + (cout,):
             raise DimensionError(f"conv2d: bias {bias.shape} vs kernel {kernel.shape}")
     pad = (k - 1) // 2 if padding is None else padding
-    h, w, cin = x.shape
-    cout = kernel.shape[3]
+    # shared kernel: every sample's rows form one GEMM; per-sample kernel:
+    # one batched GEMM over a (B, rows, k*k*C) patch stack
+    rows = batch + (-1,)
 
     bdata = None if bias is None else bias.data
     cols_cache = None
@@ -550,28 +567,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, padding: Op
         # single precision: accumulate in double so the result is within one
         # rounding step of the exact sum, then cast back
         cols_cache = _im2col(x.data, k, pad)
-        ydata = cols_cache.astype(np.float64) @ kernel.data.reshape(k * k * cin, cout).astype(np.float64)
+        kmat = kernel.data.reshape(batch + (k * k * cin, cout))
+        ydata = cols_cache.reshape(rows + (k * k * cin,)).astype(np.float64) @ kmat.astype(np.float64)
         if bdata is not None:
-            ydata = ydata + bdata
-        ydata = ydata.reshape(h, w, cout).astype(np.float32)
+            ydata = ydata + bdata[..., None, :]
+        ydata = ydata.reshape(x.shape[:-1] + (cout,)).astype(np.float32)
     out = Tensor(ydata)
 
     def bw():
         g = out.grad
         if g is None:
             return
-        gmat = g.reshape(h * w, cout)
+        gmat = g.reshape(rows + (cout,))
         cols = cols_cache if cols_cache is not None else _im2col(x.data, k, pad)
-        _accum(kernel, (cols.T @ gmat).reshape(kernel.shape))
+        cols = cols.reshape(rows + (k * k * cin,))
+        _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape))
         if bias is not None:
-            _accum(bias, g.sum(axis=(0, 1)))
+            _accum(bias, gmat.sum(axis=-2))
         # dx: correlate the output gradient with the spatially flipped kernel,
         # swapping in/out channels; valid because stride is 1 and k is odd.
-        kflip = kernel.data[::-1, ::-1, :, :].transpose(0, 1, 3, 2)
-        gcols = _im2col(g, k, pad)
-        _accum(x, (gcols @ kflip.reshape(k * k * cout, cin)).reshape(x.shape))
+        kflip = np.swapaxes(kernel.data[..., ::-1, ::-1, :, :], -1, -2)
+        gcols = _im2col(g, k, pad).reshape(rows + (k * k * cout,))
+        _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -602,12 +621,13 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 
 
 def _apply_separable(x: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
-    """Apply row/column interpolation matrices to an (H, W, C) map."""
-    h, w, c = x.shape
-    y = (mh @ x.reshape(h, w * c)).reshape(mh.shape[0], w, c)
-    y = y.transpose(1, 0, 2).reshape(w, mh.shape[0] * c)
-    y = (mw @ y).reshape(mw.shape[0], mh.shape[0], c)
-    return y.transpose(1, 0, 2)
+    """Apply row/column interpolation matrices to an (..., H, W, C) map."""
+    *lead, h, w, c = x.shape
+    oh, ow = mh.shape[0], mw.shape[0]
+    y = (mh @ x.reshape(*lead, h, w * c)).reshape(*lead, oh, w, c)
+    y = np.swapaxes(y, -3, -2).reshape(*lead, w, oh * c)
+    y = (mw @ y).reshape(*lead, ow, oh, c)
+    return np.swapaxes(y, -3, -2)
 
 
 def bilinear_resize_array(x: np.ndarray, out_hw: tuple) -> np.ndarray:
@@ -622,10 +642,10 @@ def bilinear_resize_array(x: np.ndarray, out_hw: tuple) -> np.ndarray:
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Bilinear 2x upsampling of an (H, W, C) map."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample2x: expected (H, W, C), got {x.shape}")
-    h, w, _ = x.shape
+    """Bilinear 2x upsampling of an (H, W, C) or (B, H, W, C) map."""
+    if x.ndim not in (3, 4):
+        raise DimensionError(f"upsample2x: expected (H, W, C) or (B, H, W, C), got {x.shape}")
+    h, w = x.shape[-3:-1]
     mh = _resize_matrix(h, 2 * h, x.data.dtype)
     mw = _resize_matrix(w, 2 * w, x.data.dtype)
     out = Tensor(_apply_separable(x.data, mh, mw))
@@ -636,26 +656,27 @@ def upsample2x(x: Tensor) -> Tensor:
             return
         _accum(x, _apply_separable(g, mh.T, mw.T))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
 def avgpool2x(x: Tensor) -> Tensor:
-    """Mean over non-overlapping 2x2 blocks of an (H, W, C) map."""
-    if x.ndim != 3:
-        raise DimensionError(f"avgpool2x: expected (H, W, C), got {x.shape}")
-    h, w, c = x.shape
+    """Mean over non-overlapping 2x2 blocks of an (H, W, C) or (B, H, W, C)
+    map."""
+    if x.ndim not in (3, 4):
+        raise DimensionError(f"avgpool2x: expected (H, W, C) or (B, H, W, C), got {x.shape}")
+    *lead, h, w, c = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"avgpool2x: spatial dims must be even, got {x.shape}")
-    out = Tensor(x.data.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3)))
+    out = Tensor(x.data.reshape(*lead, h // 2, 2, w // 2, 2, c).mean(axis=(-4, -2)))
 
     def bw():
         g = out.grad
         if g is None:
             return
-        _accum(x, np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) * x.data.dtype.type(0.25))
+        _accum(x, np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2) * x.data.dtype.type(0.25))
 
-    _record(bw)
+    _record(out, bw)
     return out
 
 
@@ -679,5 +700,5 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         s = 1.0 / (1.0 + np.exp(-x))
         _accum(logits, (s - t) * (g / x.size))
 
-    _record(bw)
+    _record(out, bw)
     return out

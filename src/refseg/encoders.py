@@ -23,7 +23,6 @@ from .nn import (
     conv_init,
     linear,
     linear_init,
-    map_linear,
     normal_init,
     ones_init,
     zeros_init,
@@ -82,11 +81,21 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Fixed-length id sequence: [SOS] words [EOS] then padding."""
+    """Fixed-length id sequence: [SOS] words [EOS] then padding.  A batch
+    stacks B sequences: ``ids`` (B, L) and one length and [EOS] position
+    per sample."""
 
     ids: np.ndarray
-    true_length: int
-    eos_position: int
+    true_length: int | np.ndarray
+    eos_position: int | np.ndarray
+
+    @classmethod
+    def stack(cls, seqs: Sequence["TokenSequence"]) -> "TokenSequence":
+        return cls(
+            ids=np.stack([s.ids for s in seqs]),
+            true_length=np.array([s.true_length for s in seqs]),
+            eos_position=np.array([s.eos_position for s in seqs]),
+        )
 
 
 def tokenize(expression: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
@@ -108,24 +117,24 @@ def tokenize(expression: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
 
 
 def pad_key_bias(tokens: TokenSequence, l_max: int, dtype) -> np.ndarray:
-    """0 for real tokens, -inf for padding; added to attention logits."""
-    bias = np.full(l_max, -np.inf, dtype=dtype)
-    bias[: tokens.eos_position + 1] = 0.0
-    return bias
+    """(L,) or per sample (B, L): 0 for real tokens, -inf for padding;
+    added to attention logits."""
+    real = np.arange(l_max) <= np.asarray(tokens.eos_position)[..., None]
+    return np.where(real, 0.0, -np.inf).astype(dtype)
 
 
 @dataclass
 class TextFeatures:
-    f_t: Tensor    # (L_max, C) per-token features
-    f_tg: Tensor   # (C',) global language feature
+    f_t: Tensor    # (..., L_max, C) per-token features
+    f_tg: Tensor   # (..., C') global language feature
 
 
 @dataclass
 class ImageFeatures:
-    f_v2: Tensor   # (H/4,  W/4,  C4)
-    f_v3: Tensor   # (H/8,  W/8,  C4)
-    f_v4: Tensor   # (H/16, W/16, C4)
-    f_vg: Tensor   # (C4,) global vision feature
+    f_v2: Tensor   # (..., H/4,  W/4,  C4)
+    f_v3: Tensor   # (..., H/8,  W/8,  C4)
+    f_v4: Tensor   # (..., H/16, W/16, C4)
+    f_vg: Tensor   # (..., C4) global vision feature
 
 
 class TextEncoder:
@@ -161,9 +170,11 @@ class TextEncoder:
             x = blk["ln1"](ad.add(x, blk["attn"](x, key_bias=key_bias)))
             x = blk["ln2"](ad.add(x, blk["ffn"](x)))
         x = self.ln_final(x)
-        e = tokens.eos_position
-        eos_row = ad.getitem(x, (slice(e, e + 1), slice(None)))
-        f_tg = ad.reshape(ad.matmul(eos_row, self.w_tg.value), (self.cfg.text_global_width,))
+        # each sample's [EOS] row: (1, C) for one sample, (B, 1, C) for a batch
+        e = np.asarray(tokens.eos_position)
+        lead = np.indices(e.shape + (1,), sparse=True)[:-1]
+        eos_row = ad.getitem(x, (*lead, e[..., None]))
+        f_tg = ad.reshape(ad.matmul(eos_row, self.w_tg.value), e.shape + (self.cfg.text_global_width,))
         return TextFeatures(f_t=x, f_tg=f_tg)
 
 
@@ -207,11 +218,12 @@ class ImageEncoder:
         self.b_zbar = store.parameter("image.b_zbar", (c4,), ones_init)
 
     def __call__(self, image: Tensor) -> ImageFeatures:
-        h, w, c = image.shape
+        """(H, W, 3) image, or a (B, H, W, 3) batch, to its features."""
+        lead, (h, w, c) = image.shape[:-3], image.shape[-3:]
         if h % 16 or w % 16:
             raise ConfigError(f"image size {image.shape} must be divisible by 16")
-        if c != 3:
-            raise ConfigError(f"expected RGB image, got {image.shape}")
+        if c != 3 or len(lead) > 1:
+            raise ConfigError(f"expected an RGB image or a batch of them, got {image.shape}")
         x = image
         stages = []
         for kernel, bias in self.convs:
@@ -219,16 +231,16 @@ class ImageEncoder:
             stages.append(x)
         x2, x3, x4 = stages[1], stages[2], stages[3]
 
-        h4, w4, c4 = x4.shape
-        flat4 = ad.reshape(x4, (h4 * w4, c4))
-        mean_tok = ad.tmean(flat4, axis=0, keepdims=True)
+        h4, w4, c4 = x4.shape[-3:]
+        flat4 = ad.reshape(x4, lead + (h4 * w4, c4))
+        mean_tok = ad.tmean(flat4, axis=-2, keepdims=True)
         spatial = ad.add(flat4, self.pool_pos.value)
-        pooled = self.pool_attn(ad.concat([mean_tok, spatial], axis=0))
-        zbar = ad.getitem(pooled, (slice(0, 1), slice(None)))
-        z = ad.getitem(pooled, (slice(1, 1 + h4 * w4), slice(None)))
+        pooled = self.pool_attn(ad.concat([mean_tok, spatial], axis=-2))
+        zbar = ad.getitem(pooled, (Ellipsis, slice(0, 1), slice(None)))
+        z = ad.getitem(pooled, (Ellipsis, slice(1, 1 + h4 * w4), slice(None)))
 
-        f_v2 = map_linear(x2, self.w_v2)
-        f_v3 = map_linear(x3, self.w_v3)
-        f_v4 = ad.reshape(ad.matmul(z, self.w_z.value), (h4, w4, c4))
-        f_vg = ad.reshape(ad.add(ad.matmul(zbar, self.w_zbar.value), self.b_zbar.value), (c4,))
+        f_v2 = linear(x2, self.w_v2)
+        f_v3 = linear(x3, self.w_v3)
+        f_v4 = ad.reshape(ad.matmul(z, self.w_z.value), lead + (h4, w4, c4))
+        f_vg = ad.reshape(ad.add(ad.matmul(zbar, self.w_zbar.value), self.b_zbar.value), lead + (c4,))
         return ImageFeatures(f_v2=f_v2, f_v3=f_v3, f_v4=f_v4, f_vg=f_vg)

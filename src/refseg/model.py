@@ -1,6 +1,7 @@
 """End-to-end model: encoders, fusion neck, query generator, decoder and
 the dynamic-kernel segmentation head, with the ablation modes used by the
-trend experiments.
+trend experiments.  One forward pass runs one (image, expression) pair or a
+stacked batch of them through the same ops.
 """
 
 from __future__ import annotations
@@ -20,14 +21,18 @@ from .aligner import (
 from .autodiff import Tensor
 from .config import ModelConfig, TRAIN_MODES
 from .encoders import ImageEncoder, TextEncoder, TokenSequence, Vocabulary, tokenize
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .neck import FusionNeck
 from .nn import ParamStore
 from .queries import QueryGenerator
 
 
 class Model:
-    """A full referring-segmentation network over one (image, expression).
+    """A full referring-segmentation network over one (image, expression),
+    or over a batch: a (B, H, W, 3) image stack with the B token sequences
+    stacked by ``TokenSequence.stack``.  Every output then gains a leading
+    batch axis, and each sample's outputs equal its own forward pass up to
+    rounding.
 
     ``mode`` selects the segmentation head behavior:
       full          dynamic per-query kernels, score-weighted mask sum
@@ -71,6 +76,9 @@ class Model:
     ) -> MaskBundle:
         if mode not in TRAIN_MODES:
             raise ConfigError(f"unknown mode {mode!r}")
+        lead = image.shape[:-3]
+        if tokens.ids.shape[:-1] != lead:
+            raise DimensionError(f"image batch {image.shape} vs token batch {tokens.ids.shape}")
         text = self.text_encoder(tokens)
         feats = self.image_encoder(image)
         fused = self.neck(feats, text.f_tg)
@@ -78,21 +86,21 @@ class Model:
 
         f_q = queries.f_q
         if query_permutation is not None:
-            f_q = ad.getitem(f_q, np.asarray(query_permutation, dtype=np.int64))
+            f_q = ad.getitem(f_q, (Ellipsis, np.asarray(query_permutation, dtype=np.int64), slice(None)))
 
         f_s = self.decoder(fused.f_vt, f_q)
         f_p = self.mask_gen.project_fp(f_s)
 
         if mode == "fixed_kernel":
             mask = self.mask_gen.fixed_head(f_p)
-            return MaskBundle(masks=[mask], scores=Tensor(np.ones(1, dtype=self.dtype)), y=mask)
+            return MaskBundle(masks=[mask], scores=Tensor(np.ones(lead + (1,), dtype=self.dtype)), y=mask)
 
         stack = self.mask_gen.masks_from_queries(f_p, f_q)
         if mode == "no_estimator":
-            scores = Tensor(np.ones(self.cfg.num_queries, dtype=self.dtype))
+            scores = Tensor(np.ones(lead + (self.cfg.num_queries,), dtype=self.dtype))
         else:
             scores = self.estimator(f_q)
-        masks = [Tensor(m) for m in stack.data]
+        masks = [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
         return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores))
 
     def forward_expression(self, image: Tensor, expression: str, mode: str = "full") -> MaskBundle:

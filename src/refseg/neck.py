@@ -1,7 +1,8 @@
 """Fusion neck: multi-scale vision features gated by the global language
 feature, aggregated into the flattened vision-language tokens F_vt.
 
-All fusion happens on the 1/8-resolution grid: the stage-4 map is projected,
+Maps carry an optional leading batch axis.  All fusion happens on the
+1/8-resolution grid: the stage-4 map is projected,
 gated and upsampled 2x onto it, the stage-2 map is average-pooled down onto
 it.  Each concat pairs two C/2-wide branches so the running width stays C;
 the final 1x1 convolutions map 3C -> C and then (C + 2) -> C after the
@@ -19,7 +20,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import ImageFeatures
 from .errors import DimensionError
-from .nn import ParamStore, conv_init, map_linear, zeros_init
+from .nn import ParamStore, conv_init, linear, zeros_init
 
 
 def coord_features(h: int, w: int, dtype=np.float32) -> Tensor:
@@ -32,9 +33,9 @@ def coord_features(h: int, w: int, dtype=np.float32) -> Tensor:
 
 @dataclass
 class FusedFeatures:
-    f_m: Tensor      # (S, S, C) fused map on the 1/8 grid
-    f_coord: Tensor  # (S, S, 2)
-    f_vt: Tensor     # (S*S, C) row-major flattened tokens
+    f_m: Tensor      # (..., S, S, C) fused map on the 1/8 grid
+    f_coord: Tensor  # (..., S, S, 2)
+    f_vt: Tensor     # (..., S*S, C) row-major flattened tokens
 
 
 class _PyramidFuser:
@@ -60,28 +61,31 @@ class _PyramidFuser:
         self.conv_inte_b = store.parameter(f"{prefix}.conv_inte.bias", (c,), zeros_init)
 
     def fuse_multiscale(self, f_m4: Tensor, f_v3: Tensor, f_v2: Tensor) -> Tensor:
-        if (f_v2.shape[0], f_v2.shape[1]) != (2 * f_v3.shape[0], 2 * f_v3.shape[1]):
+        if f_v2.shape[-3:-1] != (2 * f_v3.shape[-3], 2 * f_v3.shape[-2]):
             raise DimensionError(
                 f"stage-2 map {f_v2.shape} must be exactly double stage-3 {f_v3.shape}"
             )
-        if (f_m4.shape[0], f_m4.shape[1]) != (f_v3.shape[0], f_v3.shape[1]):
+        if f_m4.shape[-3:-1] != f_v3.shape[-3:-1]:
             raise DimensionError(f"fused stage-4 {f_m4.shape} vs stage-3 {f_v3.shape}")
         f_m3 = ad.concat(
-            [ad.relu(map_linear(f_m4, self.w_m4)), ad.relu(map_linear(f_v3, self.w_v3))],
-            axis=2,
+            [ad.relu(linear(f_m4, self.w_m4)), ad.relu(linear(f_v3, self.w_v3))],
+            axis=-1,
         )
         f_v2p = ad.avgpool2x(f_v2)
         f_m2 = ad.concat(
-            [ad.relu(map_linear(f_m3, self.w_m3)), ad.relu(map_linear(f_v2p, self.w_v2))],
-            axis=2,
+            [ad.relu(linear(f_m3, self.w_m3)), ad.relu(linear(f_v2p, self.w_v2))],
+            axis=-1,
         )
-        stacked = ad.concat([f_m2, f_m3, f_m4], axis=2)
+        stacked = ad.concat([f_m2, f_m3, f_m4], axis=-1)
         return ad.conv2d(stacked, self.conv_m.value, self.conv_m_b.value)
 
     def intermediate(self, f_m: Tensor, f_coord: Tensor) -> Tensor:
-        if f_m.shape[:2] != f_coord.shape[:2]:
+        """Appends the coordinate channels, broadcast over the batch, and
+        maps C + 2 -> C."""
+        if f_m.shape[-3:-1] != f_coord.shape[-3:-1]:
             raise DimensionError(f"coord map {f_coord.shape} vs fused map {f_m.shape}")
-        stacked = ad.concat([f_m, f_coord], axis=2)
+        f_coord = Tensor(np.broadcast_to(f_coord.data, f_m.shape[:-1] + f_coord.shape[-1:]))
+        stacked = ad.concat([f_m, f_coord], axis=-1)
         return ad.conv2d(stacked, self.conv_inte.value, self.conv_inte_b.value)
 
 
@@ -93,19 +97,17 @@ class FusionNeck:
 
     def fuse_stage4(self, f_v4: Tensor, f_tg: Tensor) -> Tensor:
         """Language-gated stage-4 features, upsampled onto the fusion grid."""
-        h4, w4, c4 = f_v4.shape
-        vis = ad.relu(ad.matmul(ad.reshape(f_v4, (h4 * w4, c4)), self.fuser.w_v4.value))
+        vis = ad.relu(ad.matmul(f_v4, self.fuser.w_v4.value))
         gate = ad.relu(
-            ad.matmul(ad.reshape(f_tg, (1, f_tg.shape[0])), self.w_tg.value)
+            ad.matmul(ad.reshape(f_tg, f_tg.shape[:-1] + (1, 1, f_tg.shape[-1])), self.w_tg.value)
         )
-        gated = ad.reshape(ad.mul(vis, gate), (h4, w4, self.cfg.fusion_width))
-        return ad.upsample2x(gated)
+        return ad.upsample2x(ad.mul(vis, gate))
 
     def __call__(self, feats: ImageFeatures, f_tg: Tensor) -> FusedFeatures:
         f_m4 = self.fuse_stage4(feats.f_v4, f_tg)
         f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
-        s_h, s_w = f_m.shape[0], f_m.shape[1]
+        s_h, s_w = f_m.shape[-3:-1]
         f_coord = coord_features(s_h, s_w, dtype=f_m.data.dtype)
         f_inte = self.fuser.intermediate(f_m, f_coord)
-        f_vt = ad.reshape(f_inte, (s_h * s_w, self.cfg.fusion_width))
+        f_vt = ad.reshape(f_inte, f_m.shape[:-3] + (s_h * s_w, self.cfg.fusion_width))
         return FusedFeatures(f_m=f_m, f_coord=f_coord, f_vt=f_vt)

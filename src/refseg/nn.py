@@ -95,13 +95,6 @@ def linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None) -> Tensor:
     return y
 
 
-def map_linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None) -> Tensor:
-    """Per-position linear transform of an (H, W, Cin) map."""
-    h, wd, c = x.shape
-    y = linear(ad.reshape(x, (h * wd, c)), w, b)
-    return ad.reshape(y, (h, wd, y.shape[1]))
-
-
 class LayerNorm:
     def __init__(self, store: ParamStore, name: str, width: int, eps: float = 1e-5) -> None:
         self.gamma = store.parameter(f"{name}.gamma", (width,), ones_init)
@@ -115,10 +108,11 @@ class LayerNorm:
 class MultiHeadAttention:
     """Multi-head attention with learned Q, K, V and output projections.
 
-    Self-attention when ``kv`` is omitted; cross-attention otherwise.  There
-    is no positional term inside the block, so it is equivariant to row
-    permutations of ``x`` and invariant to row permutations of ``kv``.
-    ``key_bias`` (one value per key, 0 or -inf) masks keys out.
+    Rows are (T, C) or, batched, (B, T, C).  Self-attention when ``kv`` is
+    omitted; cross-attention otherwise.  There is no positional term inside
+    the block, so it is equivariant to row permutations of ``x`` and
+    invariant to row permutations of ``kv``.  ``key_bias`` (one value per
+    key, 0 or -inf, per sample when batched) masks keys out.
     """
 
     def __init__(self, store: ParamStore, name: str, width: int, heads: int) -> None:
@@ -137,7 +131,7 @@ class MultiHeadAttention:
         self.bv = store.parameter(f"{name}.bv", (width,), zeros_init)
         self.wo = store.parameter(f"{name}.wo", (width, width), ini)
         self.bo = store.parameter(f"{name}.bo", (width,), zeros_init)
-        self.last_weights: Optional[np.ndarray] = None  # (heads, Tq, Tk), last call
+        self.last_weights: Optional[np.ndarray] = None  # (..., heads, Tq, Tk), last call
 
     def __call__(
         self,
@@ -146,18 +140,22 @@ class MultiHeadAttention:
         key_bias: Optional[np.ndarray] = None,
     ) -> Tensor:
         src = x if kv is None else kv
-        tq, tk, h, d = x.shape[0], src.shape[0], self.heads, self.head_dim
-        # every head at once: (heads, T, d) stacks through batched matmuls
-        q = ad.transpose(ad.reshape(linear(x, self.wq, self.bq), (tq, h, d)), (1, 0, 2))
-        k_t = ad.transpose(ad.reshape(linear(src, self.wk), (tk, h, d)), (1, 2, 0))
-        v = ad.transpose(ad.reshape(linear(src, self.wv, self.bv), (tk, h, d)), (1, 0, 2))
+        lead = x.shape[:-2]
+        n = len(lead)
+        tq, tk, h, d = x.shape[-2], src.shape[-2], self.heads, self.head_dim
+        keep = tuple(range(n))
+        # every head at once: (..., heads, T, d) stacks through batched matmuls
+        q = ad.transpose(ad.reshape(linear(x, self.wq, self.bq), lead + (tq, h, d)), keep + (n + 1, n, n + 2))
+        k_t = ad.transpose(ad.reshape(linear(src, self.wk), lead + (tk, h, d)), keep + (n + 1, n + 2, n))
+        v = ad.transpose(ad.reshape(linear(src, self.wv, self.bv), lead + (tk, h, d)), keep + (n + 1, n, n + 2))
         logits = ad.mulc(ad.matmul(q, k_t), 1.0 / math.sqrt(d))
         if key_bias is not None:
-            logits = ad.add(logits, Tensor(np.asarray(key_bias, dtype=x.data.dtype)))
+            bias = np.asarray(key_bias, dtype=x.data.dtype).reshape(lead + (1, 1, tk))
+            logits = ad.add(logits, Tensor(bias))
         w = ad.softmax(logits, axis=-1)
         self.last_weights = w.data
-        heads = ad.transpose(ad.matmul(w, v), (1, 0, 2))
-        return linear(ad.reshape(heads, (tq, self.width)), self.wo, self.bo)
+        heads = ad.transpose(ad.matmul(w, v), keep + (n + 1, n, n + 2))
+        return linear(ad.reshape(heads, lead + (tq, self.width)), self.wo, self.bo)
 
 
 class FeedForward:

@@ -13,7 +13,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import ImageFeatures, TextFeatures, TokenSequence, pad_key_bias
 from .neck import _PyramidFuser, coord_features
-from .nn import ParamStore, conv_init, map_linear, zeros_init
+from .nn import ParamStore, conv_init, zeros_init
 
 
 def _near_channel_average(rng, shape, dtype):
@@ -25,10 +25,10 @@ def _near_channel_average(rng, shape, dtype):
 
 @dataclass
 class QuerySet:
-    f_q: Tensor   # (N_q, C) query vectors
-    a: Tensor     # (N_q, L) word-attention map, rows sum to 1, pads exactly 0
-    f_vd: Tensor  # (N_q, S*S) flattened dense vision maps
-    f_tv: Tensor  # (L, C) vision-gated word features
+    f_q: Tensor   # (..., N_q, C) query vectors
+    a: Tensor     # (..., N_q, L) word-attention map, rows sum to 1, pads exactly 0
+    f_vd: Tensor  # (..., N_q, S*S) flattened dense vision maps
+    f_tv: Tensor  # (..., L, C) vision-gated word features
 
 
 class QueryGenerator:
@@ -59,26 +59,20 @@ class QueryGenerator:
         self.w_tv = store.matrix("queries.w_tv", c, c, gain=2.0)
 
     def dense_vision(self, feats: ImageFeatures) -> Tensor:
-        """(N_q, S*S) saliency rows from the un-gated feature pyramid."""
-        h4, w4, c4 = feats.f_v4.shape
-        f_m4 = ad.upsample2x(
-            ad.reshape(
-                ad.relu(ad.matmul(ad.reshape(feats.f_v4, (h4 * w4, c4)), self.fuser.w_v4.value)),
-                (h4, w4, self.cfg.fusion_width),
-            )
-        )
+        """(..., N_q, S*S) saliency rows from the un-gated feature pyramid."""
+        f_m4 = ad.upsample2x(ad.relu(ad.matmul(feats.f_v4, self.fuser.w_v4.value)))
         f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
-        s_h, s_w = f_m.shape[0], f_m.shape[1]
+        s_h, s_w = f_m.shape[-3:-1]
         x = self.fuser.intermediate(f_m, coord_features(s_h, s_w, dtype=f_m.data.dtype))
         for i, (kernel, bias) in enumerate(self.reduce):
             if i > 0:
                 x = ad.relu(x)
             x = ad.conv2d(x, kernel.value, bias.value)
-        return ad.transpose(ad.reshape(x, (s_h * s_w, self.cfg.num_queries)))
+        return ad.transpose(ad.reshape(x, f_m.shape[:-3] + (s_h * s_w, self.cfg.num_queries)))
 
     def fuse_language_global(self, f_t: Tensor, f_vg: Tensor, use_fvg: bool = True) -> Tensor:
-        """(L, C) word features relu(F_t W_t), scaled per channel by the
-        vision gate relu(F_vg W_vg).
+        """(..., L, C) word features relu(F_t W_t), scaled per channel by
+        the vision gate relu(F_vg W_vg).
 
         A zero F_vg zeroes the words, and a unit gate gives the plain
         projection.  W_vg starts at the channel average and F_vg carries a
@@ -90,15 +84,17 @@ class QueryGenerator:
         text = ad.relu(ad.matmul(f_t, self.w_t.value))
         if not use_fvg:
             return text
-        gate = ad.relu(ad.matmul(ad.reshape(f_vg, (1, f_vg.shape[0])), self.w_vg.value))
+        gate = ad.relu(ad.matmul(ad.reshape(f_vg, f_vg.shape[:-1] + (1, f_vg.shape[-1])), self.w_vg.value))
         return ad.mul(text, gate)
 
     def attention_map(self, f_vd: Tensor, f_tv: Tensor, tokens: TokenSequence) -> Tensor:
-        """(N_q, L) softmax rows over words; pad columns are exactly zero."""
+        """(..., N_q, L) softmax rows over words; each sample's pad columns
+        are exactly zero."""
         proj_v = ad.relu(ad.matmul(f_vd, self.w_vd.value))
         proj_t = ad.relu(ad.matmul(f_tv, self.w_a.value))
         logits = ad.matmul(proj_v, ad.transpose(proj_t))
         bias = pad_key_bias(tokens, self.cfg.max_tokens, logits.data.dtype)
+        bias = bias.reshape(bias.shape[:-1] + (1, bias.shape[-1]))
         return ad.softmax(ad.add(logits, Tensor(bias)), axis=-1)
 
     def make_queries(self, a: Tensor, f_tv: Tensor) -> Tensor:

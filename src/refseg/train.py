@@ -3,8 +3,9 @@ batching, structured metric logs, and bit-exact checkpointing.
 
 Batches come from a seeded shuffle that is a pure function of (seed, step),
 so a resumed run consumes exactly the data order the original would have.
-Gradients are averaged over the batch by building every sample of the step
-on one tape and differentiating the mean loss once.
+A step stacks its samples into one batch, runs one forward pass over it on
+one tape, and differentiates one mean binary cross-entropy over every
+sample's mask logits, which is the mean of the per-sample losses.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .config import ModelConfig, TrainConfig, model_config_from_dict, train_config_from_dict, train_config_to_dict
-from .encoders import Vocabulary
+from .encoders import TokenSequence, Vocabulary
 from .errors import CheckpointError, NumericalError, PrecisionError
 from .metrics import bce_loss, downsample_mask_nearest, evaluate
 from .model import Model
 from .tensor_io import tensor_from_bytes, tensor_to_bytes, write_tensor
 
 CHECKPOINT_MAGIC = b"EAVC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def polynomial_lr(base_lr: float, step: int, total_steps: int, power: float) -> float:
@@ -67,13 +67,12 @@ class TrainState:
     model: Model
     optimizer: Adam
     step: int
-    rng: np.random.Generator
 
 
 def init_state(cfg: TrainConfig, vocab: Vocabulary) -> TrainState:
     model = Model(cfg.model, vocab, seed=cfg.seed)
     opt = Adam(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return TrainState(model=model, optimizer=opt, step=0, rng=np.random.default_rng(cfg.seed))
+    return TrainState(model=model, optimizer=opt, step=0)
 
 
 _PERM_CACHE: dict = {}
@@ -130,15 +129,13 @@ def train(
         step = state.step
         lr = polynomial_lr(cfg.lr, step, cfg.total_steps, cfg.decay_power)
         indices = batch_indices(cfg.seed, n, cfg.batch_size, step)
+        images = Tensor(np.stack([np.asarray(train_samples[i].image, dtype=model.dtype) for i in indices]))
+        tokens = TokenSequence.stack([tokens_cache[i] for i in indices])
         with Tape() as tape:
-            per = []
-            for i in indices:
-                s = train_samples[i]
-                image = Tensor(np.asarray(s.image, dtype=model.dtype))
-                bundle = model.forward(image, tokens_cache[i], mode=cfg.mode)
-                gt_small = downsample_mask_nearest(s.gt_mask, bundle.y.shape)
-                per.append(ad.reshape(bce_loss(bundle.y, gt_small), (1,)))
-            loss = ad.mulc(ad.tsum(ad.concat(per, axis=0)), 1.0 / len(per))
+            bundle = model.forward(images, tokens, mode=cfg.mode)
+            mask_hw = bundle.y.shape[-2:]
+            gt = np.stack([downsample_mask_nearest(train_samples[i].gt_mask, mask_hw) for i in indices])
+            loss = bce_loss(bundle.y, gt)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             if dump_dir is not None:
@@ -174,7 +171,6 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
         "vocab": list(model.vocab.words),
         "step": state.step,
         "adam_t": state.optimizer.t,
-        "rng_state": state.rng.bit_generator.state,
         "tensors": tensor_names,
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -254,7 +250,5 @@ def load_checkpoint(path, expect_precision: Optional[str] = None):
         opt.m[name] = tensors[f"opt.m.{name}"]
         opt.v[name] = tensors[f"opt.v.{name}"]
 
-    rng = np.random.default_rng()
-    rng.bit_generator.state = header["rng_state"]
-    state = TrainState(model=model, optimizer=opt, step=header["step"], rng=rng)
+    state = TrainState(model=model, optimizer=opt, step=header["step"])
     return cfg, state, vocab

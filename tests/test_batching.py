@@ -1,0 +1,231 @@
+"""The batch axis: batched ops and a batched forward pass against their
+single-sample cases, the per-step tape budget, and gradient release."""
+
+import dataclasses
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from refseg import autodiff as ad
+from refseg.autodiff import Tape, Tensor, backward
+from refseg.config import ModelConfig, TrainConfig
+from refseg.data import GrammarConfig, generate_split, vocabulary_for
+from refseg.encoders import TokenSequence
+from refseg.errors import DimensionError
+from refseg.gradcheck import grad_check
+from refseg.metrics import bce_loss, downsample_mask_nearest
+from refseg.model import Model
+from refseg.nn import ParamStore
+from refseg.train import init_state, train
+
+from test_tensor_ops import naive_conv
+
+MODES = ("full", "fixed_kernel", "no_estimator", "no_fvg")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def randn_param(store, name, shape, rng):
+    return store.parameter(name, shape, lambda r, s, d: rng.standard_normal(s).astype(d))
+
+
+@pytest.fixture
+def batch3(tiny_cfg, tiny_grammar):
+    """A double-precision model and three samples whose expressions have
+    different lengths, one of them empty."""
+    cfg = dataclasses.replace(tiny_cfg, num_queries=3)
+    vocab = vocabulary_for(tiny_grammar)
+    samples = generate_split(11, 3, tiny_grammar)
+    model = Model(cfg, vocab, seed=5)
+    images = [np.asarray(s.image, dtype=np.float64) for s in samples]
+    tokens = [model.tokenize(e) for e in ("red circle", "", "triangle top of green circle")]
+    gts = [downsample_mask_nearest(s.gt_mask, (cfg.mask_size, cfg.mask_size)) for s in samples]
+    return model, images, tokens, gts
+
+
+# ---------------------------------------------------------------------------
+# batched forward and gradients
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("perm", [None, [2, 0, 1]])
+def test_batched_forward_equals_single_forwards(batch3, mode, perm):
+    model, images, tokens, _ = batch3
+    batched = model.forward(Tensor(np.stack(images)), TokenSequence.stack(tokens), mode=mode, query_permutation=perm)
+    for j in range(3):
+        single = model.forward(Tensor(images[j]), tokens[j], mode=mode, query_permutation=perm)
+        assert batched.y.shape == (3,) + single.y.shape
+        assert np.abs(batched.y.data[j] - single.y.data).max() < 1e-12
+        assert np.abs(batched.scores.data[j] - single.scores.data).max() < 1e-12
+        assert len(batched.masks) == len(single.masks)
+        for mb, ms in zip(batched.masks, single.masks):
+            assert np.abs(mb.data[j] - ms.data).max() < 1e-12
+
+
+def test_batched_mean_loss_gradients_equal_mean_of_per_sample(batch3):
+    model, images, tokens, gts = batch3
+    with Tape() as tape:
+        y = model.forward(Tensor(np.stack(images)), TokenSequence.stack(tokens)).y
+        loss = bce_loss(y, np.stack(gts))
+    model.zero_grad()
+    backward(tape, loss)
+    batched = {p.name: p.gradient.copy() for p in model.parameters()}
+
+    mean = {name: np.zeros_like(g) for name, g in batched.items()}
+    for image, tok, gt in zip(images, tokens, gts):
+        with Tape() as tape:
+            loss = bce_loss(model.forward(Tensor(image), tok).y, gt)
+        model.zero_grad()
+        backward(tape, loss)
+        for p in model.parameters():
+            mean[p.name] += p.gradient / 3.0
+    worst = max(np.abs(batched[n] - mean[n]).max() for n in batched)
+    assert worst < 1e-10
+
+
+def test_batch_size_mismatch_rejected(batch3):
+    model, images, tokens, _ = batch3
+    with pytest.raises(DimensionError):
+        model.forward(Tensor(np.stack(images)), TokenSequence.stack(tokens[:2]))
+
+
+# ---------------------------------------------------------------------------
+# batched ops
+
+
+def test_per_sample_kernel_conv_matches_naive_loop(rng):
+    for _ in range(10):
+        b, h, w = int(rng.integers(1, 4)), int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        cin, cout = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        # float32-representable inputs, so that both precisions see the same
+        # values and the single-precision result differs only by rounding
+        x, k, bias = (
+            (0.5 * rng.standard_normal(shape)).astype(np.float32).astype(np.float64)
+            for shape in ((b, h, w, cin), (b, 3, 3, cin, cout), (b, cout))
+        )
+        out64 = ad.conv2d(Tensor(x), Tensor(k), Tensor(bias)).data
+        out32 = ad.conv2d(*(Tensor(a.astype(np.float32)) for a in (x, k, bias))).data
+        for j in range(b):
+            ref = naive_conv(x[j], k[j], bias[j])
+            assert np.array_equal(out64[j], ref), "double precision must be exact"
+            assert np.abs(out32[j] - ref).max() < 1e-6
+
+
+def test_shared_kernel_batched_conv_equals_per_sample_conv(rng):
+    x = rng.standard_normal((3, 5, 4, 2))
+    k = Tensor(rng.standard_normal((3, 3, 2, 4)))
+    bias = Tensor(rng.standard_normal(4))
+    out = ad.conv2d(Tensor(x), k, bias).data
+    for j in range(3):
+        assert np.array_equal(out[j], ad.conv2d(Tensor(x[j]), k, bias).data)
+
+
+@pytest.mark.parametrize(
+    "x_shape, k_shape, b_shape",
+    [((4, 4, 2), (2, 3, 3, 2, 1), (2, 1)), ((2, 4, 4, 2), (3, 3, 3, 2, 1), (3, 1)), ((2, 4, 4, 2), (2, 3, 3, 2, 1), (1,))],
+)
+def test_per_sample_kernel_shape_errors(x_shape, k_shape, b_shape):
+    with pytest.raises(DimensionError):
+        ad.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(b_shape)))
+
+
+def _op_case(rng, op, in_shapes, out_shape):
+    store = ParamStore(dtype=np.float64, seed=0)
+    params = [randn_param(store, f"p{i}", s, rng) for i, s in enumerate(in_shapes)]
+    proj = Tensor(rng.standard_normal(out_shape))
+    return (lambda: ad.tsum(ad.mul(op(*[p.value for p in params]), proj))), params
+
+
+@pytest.mark.parametrize(
+    "name, op, in_shapes, out_shape",
+    [
+        ("conv2d shared kernel", ad.conv2d, [(2, 4, 3, 2), (3, 3, 2, 3), (3,)], (2, 4, 3, 3)),
+        ("conv2d per-sample kernel", ad.conv2d, [(3, 4, 3, 2), (3, 3, 3, 2, 2), (3, 2)], (3, 4, 3, 2)),
+        ("conv2d 1x1 per-sample kernel", ad.conv2d, [(2, 3, 3, 2), (2, 1, 1, 2, 3), (2, 3)], (2, 3, 3, 3)),
+        ("upsample2x", ad.upsample2x, [(2, 3, 2, 2)], (2, 6, 4, 2)),
+        ("avgpool2x", ad.avgpool2x, [(3, 4, 2, 2)], (3, 2, 1, 2)),
+        ("matmul shared weight", ad.matmul, [(2, 3, 4, 5), (5, 2)], (2, 3, 4, 2)),
+    ],
+)
+def test_batched_op_gradcheck(name, op, in_shapes, out_shape, rng):
+    f, params = _op_case(rng, op, in_shapes, out_shape)
+    assert grad_check(f, params, eps=1e-5) < 1e-6, name
+
+
+def test_shared_weight_matmul_equals_flattened_product(rng):
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((4, 5))
+    out = ad.matmul(Tensor(a), Tensor(b)).data
+    assert np.array_equal(out, (a.reshape(6, 4) @ b).reshape(2, 3, 5))
+
+
+# ---------------------------------------------------------------------------
+# tape budget and gradient release
+
+
+def test_train_step_tape_is_the_same_at_every_batch_size(monkeypatch):
+    """One train step records one forward and one loss, whatever the batch
+    size: the trend-fixture model stays within 400 nodes."""
+    grammar = GrammarConfig(image_size=32, max_shapes=3, size_frac_min=0.16, size_frac_max=0.24)
+    vocab = vocabulary_for(grammar)
+    samples = generate_split(3, 8, grammar)
+    model_cfg = ModelConfig(
+        image_size=32, fusion_width=32, text_global_width=32, num_queries=4, max_tokens=12,
+        heads=4, text_layers=2, decoder_layers=2, backbone_channels=(16, 32, 32, 32),
+    )
+    record = Tape.record
+    nodes = []
+
+    def counting_record(tape, fn):
+        nodes.append(fn)
+        record(tape, fn)
+
+    monkeypatch.setattr(Tape, "record", counting_record)
+    counts = {}
+    for mode in MODES:
+        for batch_size in (1, 2, 4):
+            cfg = TrainConfig(model=model_cfg, steps=1, batch_size=batch_size, mode=mode)
+            state = init_state(cfg, vocab)
+            nodes.clear()
+            train(cfg, state, samples)
+            counts[(mode, batch_size)] = len(nodes)
+    for mode in MODES:
+        assert counts[(mode, 1)] == counts[(mode, 2)] == counts[(mode, 4)] <= 400, counts
+
+
+def test_backward_releases_intermediate_gradients(rng):
+    store = ParamStore(dtype=np.float64, seed=0)
+    w = randn_param(store, "w", (4, 3), rng)
+    x = Tensor(rng.standard_normal((5, 4)))
+    with Tape() as tape:
+        h = ad.matmul(x, w.value)
+        y = ad.relu(h)
+        loss = ad.tsum(y)
+    backward(tape, loss)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    mask = h.data > 0
+    assert np.allclose(w.gradient, x.data.T @ mask)
+    assert np.allclose(x.grad, mask.astype(float) @ w.value.data.T)
+
+
+# ---------------------------------------------------------------------------
+# benchmark smoke run
+
+
+@pytest.mark.slow
+def test_benchmark_smoke_run():
+    """Every workload runs traced through refseg's public API: all output
+    checks pass and every traced entry point exists."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=REPO, capture_output=True, text=True, timeout=900,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 0, out[-3000:]
+    assert not re.search(r"^check FAIL", out, re.M), out[-3000:]
+    assert not re.search(r"span target .* not found", out), out[-3000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0
