@@ -121,11 +121,10 @@ class MaskGenerator:
         return ad.upsample2x(mid)
 
     def _kernels(self, f_q: Tensor) -> tuple:
-        """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N) biases."""
+        """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N) biases,
+        ReLU'd so every generated kernel is non-negative."""
         cp = self.cfg.kernel_channels
-        raw = linear(f_q, self.w_p, self.b_p)
-        if self.cfg.kernel_activation == "relu":
-            raw = ad.relu(raw)
+        raw = ad.relu(linear(f_q, self.w_p, self.b_p))
         taps = ad.getitem(raw, (Ellipsis, slice(0, 9 * cp)))
         return ad.reshape(taps, f_q.shape[:-1] + (3, 3, cp)), ad.getitem(raw, (Ellipsis, 9 * cp))
 
@@ -150,10 +149,8 @@ class MaskGenerator:
         """ReLU(W_p f_qn + b_p) split as 9*Cp kernel taps then one bias.
 
         Tap order is (kernel row, kernel column, channel), i.e. a row-major
-        reshape of the leading 9*Cp entries to (3, 3, Cp).  With
-        kernel_activation="identity" the ReLU (and the non-negativity of the
-        kernel) is dropped.  This is the one-query case of
-        ``masks_from_queries``' kernel synthesis.
+        reshape of the leading 9*Cp entries to (3, 3, Cp).  This is the
+        one-query case of ``masks_from_queries``' kernel synthesis.
         """
         cp = self.cfg.kernel_channels
         weights, bias = self._kernels(ad.reshape(f_qn, (1, f_qn.shape[0])))

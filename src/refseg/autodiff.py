@@ -1,13 +1,17 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Values are numpy arrays in float32 or float64, channels-last and row-major
-everywhere.  Operations executed while a :class:`Tape` is active append a
-backward closure to it; :func:`backward` replays the tape in reverse
-execution order, accumulating gradients into every reachable tensor.  Once
-the node that produced a tensor has run, that tensor's gradient is dropped:
-after backward only leaves (parameters and inputs) hold one.  Tensors are
-treated as immutable once created: no operation writes to its operands, so
-a tape can always be replayed against the values it captured.
+everywhere.  Operations executed while a :class:`Tape` is active record one
+node each; :func:`backward` replays the tape in reverse execution order,
+accumulating gradients into every reachable tensor.
+
+Node protocol (PyTorch autograd's): a node reads its output's gradient.  If
+none flowed into the output it does nothing; otherwise it releases that
+gradient and calls the op's backward closure as ``bw(g)``, which
+accumulates into the operands.  So after backward only leaves (parameters
+and inputs) hold a gradient.  Tensors are treated as immutable once
+created: no operation writes to its operands, so a tape can always be
+replayed against the values it captured.
 
 Shape contract: every op takes an optional leading batch axis, and the
 unbatched shape is the same code with no leading dims.  Spatial ops take
@@ -65,15 +69,18 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(out: "Tensor", backward_fn: Callable[[], None]) -> None:
-    """Record ``backward_fn``; once it has run, ``out``'s gradient has been
-    passed on to the operands and is released."""
+def _record(out: "Tensor", backward_fn: Callable[[np.ndarray], None]) -> None:
+    """Record the tape node of the op that produced ``out``; see the module
+    docstring for the protocol."""
     tape = active_tape()
     if tape is not None:
 
         def node():
-            backward_fn()
+            g = out.grad
+            if g is None:
+                return
             out.grad = None
+            backward_fn(g)
 
         tape.record(node)
 
@@ -182,10 +189,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
@@ -200,10 +204,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
@@ -218,10 +219,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
@@ -233,9 +231,8 @@ def mulc(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
     out = Tensor(a.data * c)
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad * c)
+    def bw(g):
+        _accum(a, g * c)
 
     _record(out, bw)
     return out
@@ -244,9 +241,8 @@ def mulc(a: Tensor, c: float) -> Tensor:
 def addc(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data + a.data.dtype.type(c))
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad)
+    def bw(g):
+        _accum(a, g)
 
     _record(out, bw)
     return out
@@ -256,9 +252,8 @@ def relu(a: Tensor) -> Tensor:
     # subgradient at 0 is 0
     out = Tensor(np.maximum(a.data, 0))
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad * (a.data > 0))
+    def bw(g):
+        _accum(a, g * (a.data > 0))
 
     _record(out, bw)
     return out
@@ -268,9 +263,8 @@ def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     out = Tensor(y)
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad * y)
+    def bw(g):
+        _accum(a, g * y)
 
     _record(out, bw)
     return out
@@ -280,9 +274,8 @@ def powc(a: Tensor, p: float) -> Tensor:
     """Elementwise power with a constant exponent (data must support it)."""
     out = Tensor(a.data**p)
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad * p * a.data ** (p - 1))
+    def bw(g):
+        _accum(a, g * p * a.data ** (p - 1))
 
     _record(out, bw)
     return out
@@ -295,9 +288,8 @@ def powc(a: Tensor, p: float) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad.reshape(a.shape))
+    def bw(g):
+        _accum(a, g.reshape(a.shape))
 
     _record(out, bw)
     return out
@@ -310,9 +302,8 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     inv = tuple(np.argsort(ax))
     out = Tensor(a.data.transpose(ax))
 
-    def bw():
-        if out.grad is not None:
-            _accum(a, out.grad.transpose(inv))
+    def bw(g):
+        _accum(a, g.transpose(inv))
 
     _record(out, bw)
     return out
@@ -328,10 +319,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(int(lo), int(hi))
@@ -351,10 +339,7 @@ def getitem(a: Tensor, idx) -> Tensor:
     out = Tensor(np.array(a.data[idx]))
     advanced = _is_advanced_index(idx)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         if advanced:
@@ -373,15 +358,12 @@ def getitem(a: Tensor, idx) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+    def bw(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
+        # a C-order copy: _accum's np.array would keep the broadcast view's
+        # layout, and sums and products over a gradient laid out otherwise
+        # round differently
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
     _record(out, bw)
@@ -411,10 +393,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
         _accum(beta, g.reshape(-1, n).sum(axis=0))
         gx = g * gamma.data
@@ -434,10 +413,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
@@ -464,10 +440,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         out = Tensor(a.data @ b.data)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(a, g @ np.swapaxes(b.data, -1, -2))
         if shared:
             _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]))
@@ -523,13 +496,13 @@ def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     return acc
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, padding: Optional[int] = None) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Stride-1 2D convolution of an (H, W, Cin) or (B, H, W, Cin) map,
     spatial size preserved.
 
     ``kernel`` is (k, k, Cin, Cout) with odd k, shared by every sample, or
     (B, k, k, Cin, Cout) with one kernel per sample of a batched map; the
-    bias is (Cout,) or (B, Cout) to match.  Default padding (k-1)//2.
+    bias is (Cout,) or (B, Cout) to match.  Zero padding of (k-1)//2.
     The double-precision forward accumulates taps in a fixed order and is
     bit-reproducible against a naive per-pixel loop.
     """
@@ -554,7 +527,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, padding: Op
         _check_same_dtype(x, bias, "conv2d")
         if bias.shape != batch + (cout,):
             raise DimensionError(f"conv2d: bias {bias.shape} vs kernel {kernel.shape}")
-    pad = (k - 1) // 2 if padding is None else padding
+    pad = (k - 1) // 2
     # shared kernel: every sample's rows form one GEMM; per-sample kernel:
     # one batched GEMM over a (B, rows, k*k*C) patch stack
     rows = batch + (-1,)
@@ -574,10 +547,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, padding: Op
         ydata = ydata.reshape(x.shape[:-1] + (cout,)).astype(np.float32)
     out = Tensor(ydata)
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         gmat = g.reshape(rows + (cout,))
         cols = cols_cache if cols_cache is not None else _im2col(x.data, k, pad)
         cols = cols.reshape(rows + (k * k * cin,))
@@ -650,10 +620,7 @@ def upsample2x(x: Tensor) -> Tensor:
     mw = _resize_matrix(w, 2 * w, x.data.dtype)
     out = Tensor(_apply_separable(x.data, mh, mw))
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(x, _apply_separable(g, mh.T, mw.T))
 
     _record(out, bw)
@@ -670,10 +637,7 @@ def avgpool2x(x: Tensor) -> Tensor:
         raise DimensionError(f"avgpool2x: spatial dims must be even, got {x.shape}")
     out = Tensor(x.data.reshape(*lead, h // 2, 2, w // 2, 2, c).mean(axis=(-4, -2)))
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         _accum(x, np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2) * x.data.dtype.type(0.25))
 
     _record(out, bw)
@@ -693,10 +657,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     per = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
     out = Tensor(np.asarray(per.mean(), dtype=x.dtype))
 
-    def bw():
-        g = out.grad
-        if g is None:
-            return
+    def bw(g):
         s = 1.0 / (1.0 + np.exp(-x))
         _accum(logits, (s - t) * (g / x.size))
 

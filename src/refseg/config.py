@@ -35,8 +35,6 @@ class ModelConfig:
     decoder_layers: int = 2
     backbone_channels: tuple = (16, 32, 64, 64)
     precision: str = "single"       # "single" | "double"
-    kernel_activation: str = "relu"  # "relu" | "identity"; escape hatch for
-    # the non-negativity of generated kernels
 
     def __post_init__(self):
         if self.fusion_width % 2 != 0:
@@ -59,8 +57,6 @@ class ModelConfig:
             raise ConfigError("max_tokens must fit [SOS] and [EOS]")
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision {self.precision!r} must be single or double")
-        if self.kernel_activation not in ("relu", "identity"):
-            raise ConfigError(f"kernel_activation {self.kernel_activation!r} invalid")
         self.backbone_channels = tuple(int(c) for c in self.backbone_channels)
 
     @property
@@ -149,7 +145,7 @@ _MODEL_KEYS = {
     "text_layers": int,
     "decoder_layers": int,
     "precision": str,
-    "kernel_activation": str,
+    "backbone_channels": lambda v: tuple(int(c) for c in v.split(",")),
 }
 
 _TRAIN_KEYS = {
@@ -169,24 +165,20 @@ _TRAIN_KEYS = {
 }
 
 
-def model_config_from_dict(pairs: dict, prefix: str = "model.") -> ModelConfig:
-    kwargs = {}
-    for key, cast in _MODEL_KEYS.items():
-        if prefix + key in pairs:
-            kwargs[key] = cast(pairs[prefix + key])
-    if prefix + "backbone_channels" in pairs:
-        kwargs["backbone_channels"] = tuple(
-            int(v) for v in pairs[prefix + "backbone_channels"].split(",")
-        )
-    return ModelConfig(**kwargs)
+def _section_kwargs(pairs: dict, section: str, keys: dict) -> dict:
+    return {k: cast(pairs[f"{section}.{k}"]) for k, cast in keys.items() if f"{section}.{k}" in pairs}
 
 
 def train_config_from_dict(pairs: dict) -> TrainConfig:
-    kwargs = {"model": model_config_from_dict(pairs)}
-    for key, cast in _TRAIN_KEYS.items():
-        if "train." + key in pairs:
-            kwargs[key] = cast(pairs["train." + key])
-    return TrainConfig(**kwargs)
+    """Build a TrainConfig from ``model.*`` and ``train.*`` pairs.  A key
+    that is not read, such as a misspelt one, is an error rather than a
+    silent default."""
+    known = {f"model.{k}" for k in _MODEL_KEYS} | {f"train.{k}" for k in _TRAIN_KEYS}
+    unknown = sorted(set(pairs) - known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    model = ModelConfig(**_section_kwargs(pairs, "model", _MODEL_KEYS))
+    return TrainConfig(model=model, **_section_kwargs(pairs, "train", _TRAIN_KEYS))
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import parse_kv_text, write_kv_file
+from .config import write_kv_file
 from .encoders import Vocabulary
 from .errors import ConfigError, GenerationError
 from .tensor_io import read_pgm, read_ppm, write_pgm, write_ppm
@@ -418,10 +418,6 @@ def load_split(root, name: str) -> list:
             )
         )
     return samples
-
-
-def load_manifest(root) -> dict:
-    return parse_kv_text((Path(root) / "MANIFEST").read_text())
 
 
 def default_manifest(image_size: int = 64) -> dict:

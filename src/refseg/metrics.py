@@ -22,8 +22,6 @@ PRECISION_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 def bce_loss(y_logits: Tensor, gt: np.ndarray) -> Tensor:
     """Mean per-pixel binary cross-entropy on sigmoid(y_logits)."""
-    if y_logits.shape != gt.shape:
-        raise DimensionError(f"bce_loss: logits {y_logits.shape} vs gt {gt.shape}")
     return ad.bce_with_logits(y_logits, gt)
 
 

@@ -34,7 +34,6 @@ def coord_features(h: int, w: int, dtype=np.float32) -> Tensor:
 @dataclass
 class FusedFeatures:
     f_m: Tensor      # (..., S, S, C) fused map on the 1/8 grid
-    f_coord: Tensor  # (..., S, S, 2)
     f_vt: Tensor     # (..., S*S, C) row-major flattened tokens
 
 
@@ -107,7 +106,6 @@ class FusionNeck:
         f_m4 = self.fuse_stage4(feats.f_v4, f_tg)
         f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
         s_h, s_w = f_m.shape[-3:-1]
-        f_coord = coord_features(s_h, s_w, dtype=f_m.data.dtype)
-        f_inte = self.fuser.intermediate(f_m, f_coord)
+        f_inte = self.fuser.intermediate(f_m, coord_features(s_h, s_w, dtype=f_m.data.dtype))
         f_vt = ad.reshape(f_inte, f_m.shape[:-3] + (s_h * s_w, self.cfg.fusion_width))
-        return FusedFeatures(f_m=f_m, f_coord=f_coord, f_vt=f_vt)
+        return FusedFeatures(f_m=f_m, f_vt=f_vt)

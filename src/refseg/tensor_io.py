@@ -97,23 +97,31 @@ def _read_pnm_header(f):
             t += ch
 
     magic = token()
-    w, h, maxval = int(token()), int(token()), int(token())
+    fields = [token() for _ in range(3)]
+    if not all(t.isdigit() for t in fields):
+        raise CheckpointError(f"netpbm width, height and maxval must be numbers, got {fields}")
+    w, h, maxval = (int(t) for t in fields)
+    if not 1 <= maxval <= 255:
+        raise CheckpointError(f"netpbm maxval {maxval} outside 1..255")
     return magic, w, h, maxval
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_pnm(path, magic: bytes, channels: int) -> tuple:
+    """(uint8 (H, W, channels) pixels, maxval) of a binary netpbm file."""
     with open(path, "rb") as f:
-        magic, w, h, maxval = _read_pnm_header(f)
-        if magic != b"P6":
-            raise CheckpointError(f"expected P6 ppm, got {magic!r}")
-        raw = np.frombuffer(f.read(w * h * 3), dtype=np.uint8)
-    return (raw.reshape(h, w, 3).astype(np.float32)) / maxval
+        got, w, h, maxval = _read_pnm_header(f)
+        if got != magic:
+            raise CheckpointError(f"{path}: expected {magic.decode()} netpbm, got {got!r}")
+        raw = f.read(w * h * channels)
+    if len(raw) != w * h * channels:
+        raise CheckpointError(f"{path}: truncated payload, {len(raw)} of {w * h * channels} bytes")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels), maxval
+
+
+def read_ppm(path) -> np.ndarray:
+    pixels, maxval = _read_pnm(path, b"P6", 3)
+    return pixels.astype(np.float32) / maxval
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h, maxval = _read_pnm_header(f)
-        if magic != b"P5":
-            raise CheckpointError(f"expected P5 pgm, got {magic!r}")
-        raw = np.frombuffer(f.read(w * h), dtype=np.uint8)
-    return raw.reshape(h, w)
+    return _read_pnm(path, b"P5", 1)[0][:, :, 0]

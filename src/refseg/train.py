@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward
-from .config import ModelConfig, TrainConfig, model_config_from_dict, train_config_from_dict, train_config_to_dict
+from .config import TrainConfig, train_config_from_dict, train_config_to_dict
 from .encoders import TokenSequence, Vocabulary
 from .errors import CheckpointError, NumericalError, PrecisionError
 from .metrics import bce_loss, downsample_mask_nearest, evaluate
@@ -27,7 +27,7 @@ from .model import Model
 from .tensor_io import tensor_from_bytes, tensor_to_bytes, write_tensor
 
 CHECKPOINT_MAGIC = b"EAVC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def polynomial_lr(base_lr: float, step: int, total_steps: int, power: float) -> float:
@@ -161,31 +161,33 @@ def train(
 # checkpoints: json header plus named EAVT blobs
 
 
+def _checkpoint_arrays(state: TrainState) -> dict:
+    """Name -> array of everything a checkpoint holds besides its header:
+    the parameters, then ``opt.m.*``, then ``opt.v.*``, each by name."""
+    params = {p.name: p.value.data for p in state.model.parameters()}
+    names = sorted(params)
+    table = {n: params[n] for n in names}
+    table.update({f"opt.m.{n}": state.optimizer.m[n] for n in names})
+    table.update({f"opt.v.{n}": state.optimizer.v[n] for n in names})
+    return table
+
+
 def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
-    model = state.model
-    names = sorted(p.name for p in model.parameters())
-    tensor_names = names + [f"opt.m.{n}" for n in names] + [f"opt.v.{n}" for n in names]
+    table = _checkpoint_arrays(state)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": train_config_to_dict(cfg),
-        "vocab": list(model.vocab.words),
+        "vocab": list(state.model.vocab.words),
         "step": state.step,
         "adam_t": state.optimizer.t,
-        "tensors": tensor_names,
+        "tensors": list(table),
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    lookup = {p.name: p for p in model.parameters()}
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for tname in tensor_names:
-            if tname.startswith("opt.m."):
-                arr = state.optimizer.m[tname[6:]]
-            elif tname.startswith("opt.v."):
-                arr = state.optimizer.v[tname[6:]]
-            else:
-                arr = lookup[tname].value.data
+        for arr in table.values():
             payload = tensor_to_bytes(arr)
             f.write(struct.pack("<Q", len(payload)))
             f.write(payload)
@@ -204,51 +206,50 @@ def load_checkpoint(path, expect_precision: Optional[str] = None):
     offset = 16
     if len(raw) < offset + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(raw[offset : offset + header_len].decode())
+    try:
+        header = json.loads(raw[offset : offset + header_len])
+        config, words, step, adam_t, names = (
+            header[k] for k in ("config", "vocab", "step", "adam_t", "tensors")
+        )
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed header ({type(e).__name__}: {e})")
     offset += header_len
 
-    cfg = train_config_from_dict(header["config"])
+    cfg = train_config_from_dict(config)
     if expect_precision is not None and cfg.model.precision != expect_precision:
         raise PrecisionError(
             f"{path}: checkpoint precision {cfg.model.precision!r}, "
             f"requested {expect_precision!r}"
         )
-    vocab = Vocabulary(tuple(header["vocab"]))
-    model = Model(cfg.model, vocab, seed=cfg.seed)
-    opt = Adam(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt.t = header["adam_t"]
+    vocab = Vocabulary(tuple(words))
+    state = init_state(cfg, vocab)
+    state.step = step
+    state.optimizer.t = adam_t
 
-    tensors = {}
-    for tname in header["tensors"]:
+    stored = {}
+    for tname in names:
         if len(raw) < offset + 8:
             raise CheckpointError(f"{path}: truncated before tensor {tname!r}")
         (blob_len,) = struct.unpack_from("<Q", raw, offset)
         offset += 8
         if len(raw) < offset + blob_len:
             raise CheckpointError(f"{path}: truncated tensor {tname!r}")
-        tensors[tname] = tensor_from_bytes(raw[offset : offset + blob_len])
+        stored[tname] = tensor_from_bytes(raw[offset : offset + blob_len])
         offset += blob_len
 
-    lookup = {p.name: p for p in model.parameters()}
-    expected = set(lookup)
-    stored = {n for n in header["tensors"] if not n.startswith("opt.")}
-    if stored != expected:
+    table = _checkpoint_arrays(state)
+    if stored.keys() != table.keys():
         raise CheckpointError(
-            f"{path}: parameter set mismatch (missing {sorted(expected - stored)[:3]}, "
-            f"unexpected {sorted(stored - expected)[:3]})"
+            f"{path}: entry set mismatch (missing {sorted(table.keys() - stored.keys())[:3]}, "
+            f"unexpected {sorted(stored.keys() - table.keys())[:3]})"
         )
-    for name, p in lookup.items():
-        arr = tensors[name]
-        if arr.shape != p.value.data.shape:
-            raise CheckpointError(f"{path}: {name} shape {arr.shape} vs {p.value.data.shape}")
-        if arr.dtype != p.value.data.dtype:
+    for name, dst in table.items():
+        arr = stored[name]
+        if arr.shape != dst.shape:
+            raise CheckpointError(f"{path}: {name} shape {arr.shape} vs {dst.shape}")
+        if arr.dtype != dst.dtype:
             raise PrecisionError(
-                f"{path}: {name} stored as {arr.dtype.name}, model expects "
-                f"{p.value.data.dtype.name}"
+                f"{path}: {name} stored as {arr.dtype.name}, model expects {dst.dtype.name}"
             )
-        p.value.data = arr
-        opt.m[name] = tensors[f"opt.m.{name}"]
-        opt.v[name] = tensors[f"opt.v.{name}"]
-
-    state = TrainState(model=model, optimizer=opt, step=header["step"])
+        dst[...] = arr
     return cfg, state, vocab

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from refseg.cli import main
-from refseg.config import write_kv_file
+from refseg.config import load_train_config, write_kv_file
+from refseg.errors import ConfigError
 from refseg.data import default_manifest, grammar_to_pairs, GrammarConfig
 from refseg.tensor_io import read_tensor
 from refseg.train import load_checkpoint
@@ -142,6 +143,22 @@ def test_usage_error_exit_code_1(capsys):
     assert main(["train"]) == 1  # no --config/--resume
     assert main(["no-such-command"]) == 1
     assert main(["eval", "--checkpoint", "/nonexistent", "--data", "/nonexistent"]) == 1
+
+
+def test_unknown_config_key_rejected(tmp_path):
+    # a misspelt key would otherwise train the default 1000 steps
+    cfg = tiny_config_file(tmp_path, tmp_path / "data", tmp_path / "run", **{"train.setps": "5"})
+    with pytest.raises(ConfigError) as e:
+        load_train_config(cfg)
+    assert "train.setps" in str(e.value)
+
+
+def test_train_with_unknown_config_key_exits_1(tmp_path, dataset, capsys):
+    out = tmp_path / "run"
+    cfg = tiny_config_file(tmp_path, dataset, out, **{"model.kernel_activation": "identity"})
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "model.kernel_activation" in capsys.readouterr().err
+    assert not (out / "checkpoint.eavc").exists()
 
 
 def test_numerical_failure_exit_code_2(tmp_path, dataset):

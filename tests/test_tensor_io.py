@@ -71,3 +71,23 @@ def test_pgm_round_trip_binary_mask(tmp_path, rng):
     write_pgm(tmp_path / "m.pgm", mask)
     back = read_pgm(tmp_path / "m.pgm")
     assert np.array_equal(back, mask)
+
+
+@pytest.mark.parametrize(
+    "read, content",
+    [
+        (read_ppm, b"P6\n2 2\n255\n" + bytes(11)),
+        (read_pgm, b"P5\n2 2\n255\n" + bytes(3)),
+        (read_ppm, b"P6\nx 2\n255\n" + bytes(12)),
+        (read_pgm, b"P5\n2 2.0\n255\n" + bytes(4)),
+        (read_pgm, b"P5\n2 2\nmax\n" + bytes(4)),
+        (read_ppm, b"P6\n2 2\n0\n" + bytes(12)),
+        (read_pgm, b"P5\n2 2\n256\n" + bytes(4)),
+    ],
+    ids=["truncated_ppm", "truncated_pgm", "text_width", "float_height", "text_maxval", "maxval_0", "maxval_256"],
+)
+def test_malformed_netpbm_rejected(tmp_path, read, content):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError):
+        read(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def small_train_cfg(**over):
     defaults = dict(model=model, lr=3e-4, steps=4, batch_size=2, seed=1)
     defaults.update(over)
     return TrainConfig(**defaults)
+
+
+def rewrite_header(path, make_header):
+    """Replace a checkpoint's JSON header by ``make_header(header)``'s bytes,
+    keeping the tensor blobs after it."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    blob = make_header(json.loads(raw[16 : 16 + n]))
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n :])
 
 
 @pytest.fixture
@@ -212,6 +222,72 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_3_file_refused(self, tiny_data, tmp_path):
+        # version 3 headers carry model.kernel_activation, which no longer
+        # exists; the version check names both versions
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        path = tmp_path / "v3.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert "version 3" in str(e.value) and str(CHECKPOINT_VERSION) in str(e.value)
+
+    def test_missing_adam_moment_rejected(self, tiny_data, tmp_path):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        path = tmp_path / "m.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+        name = "opt.m.aligner.w_p"
+
+        def rename_moment(header):
+            header["tensors"] = [t if t != name else "opt.m.renamed" for t in header["tensors"]]
+            return json.dumps(header).encode()
+
+        rewrite_header(path, rename_moment)
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert name in str(e.value)
+
+    def test_adam_moment_of_wrong_shape_rejected(self, tiny_data, tmp_path):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        state = init_state(cfg, vocab)
+        state.optimizer.v["aligner.w_p"] = np.zeros(3, dtype=np.float32)
+        save_checkpoint(tmp_path / "s.eavc", cfg, state)
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(tmp_path / "s.eavc")
+        assert "opt.v.aligner.w_p" in str(e.value)
+
+    def test_adam_moment_of_wrong_dtype_rejected(self, tiny_data, tmp_path):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        state = init_state(cfg, vocab)
+        state.optimizer.m["aligner.w_p"] = state.optimizer.m["aligner.w_p"].astype(np.float64)
+        save_checkpoint(tmp_path / "d.eavc", cfg, state)
+        with pytest.raises(PrecisionError) as e:
+            load_checkpoint(tmp_path / "d.eavc")
+        assert "opt.m.aligner.w_p" in str(e.value)
+
+    @pytest.mark.parametrize("dropped", ["not_json", "config", "vocab", "step", "adam_t", "tensors"])
+    def test_malformed_header_rejected(self, tiny_data, tmp_path, dropped):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        path = tmp_path / "h.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+
+        def make_header(header):
+            if dropped == "not_json":
+                return b"{not json"
+            return json.dumps({k: v for k, v in header.items() if k != dropped}).encode()
+
+        rewrite_header(path, make_header)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
