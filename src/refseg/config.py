@@ -166,7 +166,15 @@ _TRAIN_KEYS = {
 
 
 def _section_kwargs(pairs: dict, section: str, keys: dict) -> dict:
-    return {k: cast(pairs[f"{section}.{k}"]) for k, cast in keys.items() if f"{section}.{k}" in pairs}
+    out = {}
+    for k, cast in keys.items():
+        key = f"{section}.{k}"
+        if key in pairs:
+            try:
+                out[k] = cast(pairs[key])
+            except (AttributeError, TypeError, ValueError):
+                raise ConfigError(f"{key}: cannot read value {pairs[key]!r}") from None
+    return out
 
 
 def train_config_from_dict(pairs: dict) -> TrainConfig:

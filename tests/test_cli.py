@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from refseg.cli import main
-from refseg.config import load_train_config, write_kv_file
+from refseg.config import load_train_config, train_config_from_dict, write_kv_file
 from refseg.errors import ConfigError
 from refseg.data import default_manifest, grammar_to_pairs, GrammarConfig
 from refseg.tensor_io import read_tensor
@@ -151,6 +151,21 @@ def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_train_config(cfg)
     assert "train.setps" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train.steps", "abc"),
+        ("train.lr", "fast"),
+        ("train.total_steps", "None"),
+        ("model.backbone_channels", "8,x"),
+    ],
+)
+def test_unreadable_config_value_rejected(key, value):
+    with pytest.raises(ConfigError) as e:
+        train_config_from_dict({key: value})
+    assert key in str(e.value) and repr(value) in str(e.value)
 
 
 def test_train_with_unknown_config_key_exits_1(tmp_path, dataset, capsys):

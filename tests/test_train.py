@@ -1,19 +1,26 @@
 """Optimizer, schedule, training determinism, checkpoints."""
 
 import dataclasses
+import importlib.util
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refseg.train as train_module
 from refseg.autodiff import Tensor
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
-from refseg.errors import CheckpointError, NumericalError, PrecisionError
+from refseg.errors import CheckpointError, ConfigError, NumericalError, PrecisionError
+from refseg.model import Model
+from refseg.nn import normal_init
 from refseg.train import (
     CHECKPOINT_VERSION,
     Adam,
+    TrainState,
     batch_indices,
     init_state,
     load_checkpoint,
@@ -87,6 +94,107 @@ class TestAdam:
         opt = Adam([p])
         opt.step([p], lr=0.1)
         assert p.value.data[0] == pytest.approx(3.0)
+
+    def test_mixed_dtypes_rejected(self):
+        from refseg.autodiff import Parameter
+
+        params = [Parameter("a", Tensor(np.zeros(2, np.float32))), Parameter("b", Tensor(np.zeros(2)))]
+        with pytest.raises(PrecisionError):
+            Adam(params)
+
+    def test_step_over_other_parameters_rejected(self):
+        from refseg.autodiff import Parameter
+
+        a, b = Parameter("a", Tensor(np.zeros(2))), Parameter("b", Tensor(np.zeros(2)))
+        opt = Adam([a, b])
+        for params in ([a], [b, a], [a, Parameter("c", Tensor(np.zeros(2)))]):
+            with pytest.raises(ConfigError):
+                opt.step(params, lr=0.1)
+
+
+def state_with_unreached_parameter(cfg, vocab) -> TrainState:
+    """A model plus one parameter that no forward pass reads, under Adam."""
+    model = Model(cfg.model, vocab, seed=cfg.seed)
+    model.store.parameter("unreached", (5,), normal_init(1.0))
+    opt = Adam(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
+    return TrainState(model=model, optimizer=opt, step=0)
+
+
+class TestAdamArena:
+    @pytest.mark.parametrize("chunk", [train_module.ADAM_CHUNK, 40])  # 40: runs split at odd offsets
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_steps_bit_identical_to_per_parameter_loop(self, tiny_data, precision, chunk, monkeypatch):
+        monkeypatch.setattr(train_module, "ADAM_CHUNK", chunk)
+        vocab, samples = tiny_data
+        cfg = small_train_cfg(model=dataclasses.replace(small_train_cfg().model, precision=precision), steps=5)
+        state = state_with_unreached_parameter(cfg, vocab)
+        params = state.model.parameters()
+        ref_p = {p.name: p.value.data.copy() for p in params}
+        ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
+        b1, b2 = cfg.beta1, cfg.beta2
+        for t in range(1, cfg.steps + 1):
+            lr = polynomial_lr(cfg.lr, t - 1, cfg.total_steps, cfg.decay_power)
+            train(cfg, state, samples, max_step=t)
+            for p in params:
+                g, m, v = p.gradient, ref_m[p.name], ref_v[p.name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+                ref_p[p.name] -= np.asarray(lr * update, dtype=p.value.data.dtype)
+        assert not np.any(state.model.store.get("unreached").gradient)
+        for p in params:
+            assert p.value.data.tobytes() == ref_p[p.name].tobytes(), p.name
+            assert state.optimizer.m[p.name].tobytes() == ref_m[p.name].tobytes(), p.name
+            assert state.optimizer.v[p.name].tobytes() == ref_v[p.name].tobytes(), p.name
+
+    def test_parameters_and_moments_are_arena_views(self, tiny_data):
+        vocab, samples = tiny_data
+        cfg = small_train_cfg(steps=1)
+        state = state_with_unreached_parameter(cfg, vocab)
+        train(cfg, state, samples)
+        opt = state.optimizer
+        for p in state.model.parameters():
+            assert np.shares_memory(p.value.data, opt.flat_params), p.name
+            assert np.shares_memory(opt.m[p.name], opt.flat_m), p.name
+            assert np.shares_memory(opt.v[p.name], opt.flat_v), p.name
+
+    def test_step_allocates_no_full_size_temporaries(self):
+        # default config, 493k parameters: a full-size float32 temporary is 1.9 MB
+        cfg = TrainConfig()
+        state = init_state(cfg, vocabulary_for(GrammarConfig()))
+        opt, params = state.optimizer, state.model.parameters()
+        for p in params:
+            p.value.grad = np.full_like(p.value.data, 1e-3)
+        opt.step(params, 1e-3)
+        tracemalloc.start()
+        try:
+            opt.step(params, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+
+def load_train_digest():
+    path = Path(__file__).resolve().parents[1] / "tools" / "train_digest.py"
+    spec = importlib.util.spec_from_file_location("train_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_train_digest_repeats_and_sees_one_ulp():
+    tool = load_train_digest()
+    model_cfg = small_train_cfg().model
+    runs = tool.train_runs(model_cfg, steps=1, batch=2)
+    first = tool.digest(runs)
+    assert tool.digest(tool.train_runs(model_cfg, steps=1, batch=2)) == first
+    w = runs[0][1].model.parameters()[0].value.data.reshape(-1)
+    w[0] = np.nextafter(w[0], np.inf)
+    assert tool.digest(runs) != first
 
 
 def test_batch_indices_deterministic_and_shuffled():
@@ -290,6 +398,19 @@ class TestCheckpoint:
         rewrite_header(path, make_header)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("step", "7"), ("step", True), ("step", 2.0), ("adam_t", -3), ("adam_t", None)]
+    )
+    def test_header_counter_of_wrong_type_or_sign_rejected(self, tiny_data, tmp_path, key, value):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        path = tmp_path / "n.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+        rewrite_header(path, lambda header: json.dumps({**header, key: value}).encode())
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert key in str(e.value)
 
     def test_cross_precision_load_rejected(self, tiny_data, tmp_path):
         vocab, _ = tiny_data

@@ -1,0 +1,76 @@
+"""Bit-identity digest of a short training run in every mode.
+
+Trains ``--steps`` steps at the default model config in each of the four
+modes and prints one SHA-256 over every parameter, ``Parameter.gradient``,
+``opt.m``, ``opt.v`` (each by name, dtype and shape) and the log lines.  A
+change that alters no float result must print the same digest as its parent
+commit, so run it on both and compare:
+
+    PYTHONPATH=src python tools/train_digest.py --steps 3 --batch 4 --precision single
+
+It uses only the public training API, so it runs unchanged on older commits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from refseg.config import TRAIN_MODES, ModelConfig, TrainConfig
+from refseg.data import GrammarConfig, generate_split, vocabulary_for
+from refseg.train import init_state, train
+
+SPLIT_SEED = 11
+
+
+def train_runs(model_cfg: ModelConfig, steps: int, batch: int) -> list:
+    """Train ``steps`` steps in each mode from the same seed and data;
+    returns one (mode, state, log lines) per mode."""
+    grammar = GrammarConfig(image_size=model_cfg.image_size)
+    vocab = vocabulary_for(grammar)
+    samples = generate_split(SPLIT_SEED, 4 * batch, grammar)
+    runs = []
+    for mode in TRAIN_MODES:
+        cfg = TrainConfig(model=model_cfg, steps=steps, batch_size=batch, mode=mode, seed=0)
+        state = init_state(cfg, vocab)
+        lines: list = []
+        train(cfg, state, samples, log=lines.append)
+        runs.append((mode, state, lines))
+    return runs
+
+
+def digest(runs: list) -> str:
+    h = hashlib.sha256()
+
+    def put(name: str, arr: np.ndarray) -> None:
+        h.update(f"{name}|{arr.dtype.name}|{arr.shape}\n".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+
+    for mode, state, lines in runs:
+        h.update(f"mode {mode}\n".encode())
+        for line in lines:
+            h.update(line.encode() + b"\n")
+        opt = state.optimizer
+        for p in sorted(state.model.parameters(), key=lambda p: p.name):
+            put(f"param {p.name}", p.value.data)
+            put(f"grad {p.name}", p.gradient)
+            put(f"m {p.name}", opt.m[p.name])
+            put(f"v {p.name}", opt.v[p.name])
+    return h.hexdigest()
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--steps", type=int, default=3)
+    ap.add_argument("--batch", type=int, default=4)
+    ap.add_argument("--precision", choices=("single", "double"), default="single")
+    args = ap.parse_args(argv)
+    model_cfg = dataclasses.replace(ModelConfig(), precision=args.precision)
+    print(digest(train_runs(model_cfg, args.steps, args.batch)))
+
+
+if __name__ == "__main__":
+    main()
