@@ -37,6 +37,13 @@ class ModelConfig:
     precision: str = "single"       # "single" | "double"
 
     def __post_init__(self):
+        self.backbone_channels = tuple(int(c) for c in self.backbone_channels)
+        sizes = (self.image_size, self.fusion_width, self.text_global_width, self.heads)
+        if min(sizes + self.backbone_channels) < 1:
+            raise ConfigError(
+                f"image_size, widths, heads and backbone_channels must be positive, "
+                f"got {sizes} and {self.backbone_channels}"
+            )
         if self.fusion_width % 2 != 0:
             raise ConfigError(f"fusion_width {self.fusion_width} must be even")
         if self.image_size % 16 != 0:
@@ -57,7 +64,6 @@ class ModelConfig:
             raise ConfigError("max_tokens must fit [SOS] and [EOS]")
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision {self.precision!r} must be single or double")
-        self.backbone_channels = tuple(int(c) for c in self.backbone_channels)
 
     @property
     def kernel_channels(self) -> int:
@@ -165,10 +171,12 @@ _TRAIN_KEYS = {
 }
 
 
-def _section_kwargs(pairs: dict, section: str, keys: dict) -> dict:
+def section_kwargs(pairs: dict, prefix: str, keys: dict) -> dict:
+    """{k: cast(pairs[prefix + k])} for each ``k: cast`` in ``keys`` whose
+    key is present; a value the cast refuses is a ConfigError naming the key."""
     out = {}
     for k, cast in keys.items():
-        key = f"{section}.{k}"
+        key = prefix + k
         if key in pairs:
             try:
                 out[k] = cast(pairs[key])
@@ -185,8 +193,8 @@ def train_config_from_dict(pairs: dict) -> TrainConfig:
     unknown = sorted(set(pairs) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    model = ModelConfig(**_section_kwargs(pairs, "model", _MODEL_KEYS))
-    return TrainConfig(model=model, **_section_kwargs(pairs, "train", _TRAIN_KEYS))
+    model = ModelConfig(**section_kwargs(pairs, "model.", _MODEL_KEYS))
+    return TrainConfig(model=model, **section_kwargs(pairs, "train.", _TRAIN_KEYS))
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:

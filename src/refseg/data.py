@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import write_kv_file
+from .config import section_kwargs, write_kv_file
 from .encoders import Vocabulary
 from .errors import ConfigError, GenerationError
 from .tensor_io import read_pgm, read_ppm, write_pgm, write_ppm
@@ -334,31 +334,39 @@ def grammar_to_pairs(grammar: GrammarConfig) -> dict:
     }
 
 
+def _words(value: str) -> tuple:
+    return tuple(value.split(","))
+
+
+_GRAMMAR_KEYS = {
+    "min_shapes": int,
+    "max_shapes": int,
+    "size_frac_min": float,
+    "size_frac_max": float,
+    "colors": _words,
+    "shapes": _words,
+    "templates": _words,
+}
+
+
 def grammar_from_pairs(pairs: dict) -> GrammarConfig:
-    kwargs = {}
-    if "image_size" in pairs:
-        kwargs["image_size"] = int(pairs["image_size"])
-    for key, cast in [
-        ("min_shapes", int),
-        ("max_shapes", int),
-        ("size_frac_min", float),
-        ("size_frac_max", float),
-    ]:
-        if f"grammar.{key}" in pairs:
-            kwargs[key] = cast(pairs[f"grammar.{key}"])
-    for key in ("colors", "shapes", "templates"):
-        if f"grammar.{key}" in pairs:
-            kwargs[key] = tuple(pairs[f"grammar.{key}"].split(","))
+    kwargs = section_kwargs(pairs, "", {"image_size": int})
+    kwargs.update(section_kwargs(pairs, "grammar.", _GRAMMAR_KEYS))
     return GrammarConfig(**kwargs)
 
 
 def split_specs_from_pairs(pairs: dict) -> dict:
     """{split_name: (seed, count)} from manifest pairs."""
     specs = {}
-    for key, value in pairs.items():
+    for key in pairs:
         if key.startswith("split.") and key.endswith(".seed"):
-            name = key[len("split.") : -len(".seed")]
-            specs[name] = (int(value), int(pairs[f"split.{name}.count"]))
+            prefix = key[: -len("seed")]
+            spec = section_kwargs(pairs, prefix, {"seed": int, "count": int})
+            if "count" not in spec:
+                raise ConfigError(f"manifest has {key} but no {prefix}count")
+            if min(spec.values()) < 0:
+                raise ConfigError(f"{prefix}seed and {prefix}count must be non-negative, got {spec}")
+            specs[prefix[len("split.") : -1]] = (spec["seed"], spec["count"])
     if not specs:
         raise ConfigError("manifest declares no splits")
     return specs

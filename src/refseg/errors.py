@@ -10,7 +10,7 @@ class DimensionError(RefsegError):
 
 
 class PrecisionError(RefsegError):
-    """Mixed single/double operands, or a checkpoint precision mismatch."""
+    """Mixed single/double operands."""
 
 
 class ConfigError(RefsegError):

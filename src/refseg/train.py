@@ -15,6 +15,7 @@ import mmap
 import os
 import struct
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -26,10 +27,10 @@ from .encoders import TokenSequence, Vocabulary
 from .errors import CheckpointError, ConfigError, NumericalError, PrecisionError
 from .metrics import bce_loss, downsample_mask_nearest, evaluate
 from .model import Model
-from .tensor_io import tensor_from_bytes, tensor_to_bytes, write_tensor
+from .tensor_io import write_tensor
 
 CHECKPOINT_MAGIC = b"EAVC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def polynomial_lr(base_lr: float, step: int, total_steps: int, power: float) -> float:
@@ -253,46 +254,38 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: json header plus named EAVT blobs
+# checkpoints: json header, then the optimizer's three arenas as raw payloads
 
 
-def _checkpoint_arrays(state: TrainState) -> dict:
-    """Name -> array of everything a checkpoint holds besides its header:
-    the parameters, then ``opt.m.*``, then ``opt.v.*``, each by name."""
-    params = {p.name: p.value.data for p in state.model.parameters()}
-    names = sorted(params)
-    table = {n: params[n] for n in names}
-    table.update({f"opt.m.{n}": state.optimizer.m[n] for n in names})
-    table.update({f"opt.v.{n}": state.optimizer.v[n] for n in names})
-    return table
+def _param_table(model: Model) -> list:
+    """[name, shape] of every parameter, in arena order."""
+    return [[p.name, list(p.value.shape)] for p in model.parameters()]
 
 
 def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
-    table = _checkpoint_arrays(state)
+    opt = state.optimizer
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": train_config_to_dict(cfg),
         "vocab": list(state.model.vocab.words),
         "step": state.step,
-        "adam_t": state.optimizer.t,
-        "tensors": list(table),
+        "adam_t": opt.t,
+        "params": _param_table(state.model),
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for arr in table.values():
-            payload = tensor_to_bytes(arr)
-            f.write(struct.pack("<Q", len(payload)))
-            f.write(payload)
+        for arena in (opt.flat_params, opt.flat_m, opt.flat_v):
+            f.write(memoryview(arena))
 
 
-def load_checkpoint(path, expect_precision: Optional[str] = None):
+def load_checkpoint(path):
     """Rebuild (cfg, state, vocab) from a checkpoint file, bit-exactly.
 
-    Each tensor blob is read and copied into place in turn, so a load holds
-    one tensor beside the new state rather than the whole file twice."""
+    The state is built with ``init_state``; once the header's parameter
+    table and the file size match it, each arena is read in place."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(16)
@@ -307,46 +300,33 @@ def load_checkpoint(path, expect_precision: Optional[str] = None):
             raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(f.read(header_len))
-            config, words, step, adam_t, names = (
-                header[k] for k in ("config", "vocab", "step", "adam_t", "tensors")
+            config, words, step, adam_t, params = (
+                header[k] for k in ("config", "vocab", "step", "adam_t", "params")
             )
-            listed = set(names)
+            cfg = train_config_from_dict(dict(config))
+            vocab = Vocabulary(tuple(words))
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: malformed header ({type(e).__name__}: {e})")
         for key, count in (("step", step), ("adam_t", adam_t)):
             if type(count) is not int or count < 0:
                 raise CheckpointError(f"{path}: header {key} must be a non-negative int, got {count!r}")
 
-        cfg = train_config_from_dict(config)
-        if expect_precision is not None and cfg.model.precision != expect_precision:
-            raise PrecisionError(
-                f"{path}: checkpoint precision {cfg.model.precision!r}, "
-                f"requested {expect_precision!r}"
-            )
-        vocab = Vocabulary(tuple(words))
         state = init_state(cfg, vocab)
         state.step = step
-        state.optimizer.t = adam_t
+        opt = state.optimizer
+        opt.t = adam_t
 
-        table = _checkpoint_arrays(state)
-        if listed != table.keys():
-            raise CheckpointError(
-                f"{path}: entry set mismatch (missing {sorted(table.keys() - listed)[:3]}, "
-                f"unexpected {sorted(listed - table.keys())[:3]})"
+        expected = _param_table(state.model)
+        if params != expected:
+            listed = params if isinstance(params, list) else [params]
+            got, want = next(
+                (a, b) for a, b in zip_longest(listed, expected, fillvalue="nothing") if a != b
             )
-        for name in names:
-            prefix = f.read(8)
-            if len(prefix) < 8:
-                raise CheckpointError(f"{path}: truncated before tensor {name!r}")
-            (blob_len,) = struct.unpack("<Q", prefix)
-            if size - f.tell() < blob_len:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            arr, dst = tensor_from_bytes(f.read(blob_len)), table[name]
-            if arr.shape != dst.shape:
-                raise CheckpointError(f"{path}: {name} shape {arr.shape} vs {dst.shape}")
-            if arr.dtype != dst.dtype:
-                raise PrecisionError(
-                    f"{path}: {name} stored as {arr.dtype.name}, model expects {dst.dtype.name}"
-                )
-            dst[...] = arr
+            raise CheckpointError(f"{path}: parameter table lists {got}, this model has {want}")
+        arenas = (opt.flat_params, opt.flat_m, opt.flat_v)
+        want_size = 16 + header_len + sum(a.nbytes for a in arenas)
+        if size != want_size:
+            raise CheckpointError(f"{path}: {size} bytes, expected {want_size}")
+        for arena in arenas:
+            f.readinto(memoryview(arena))
     return cfg, state, vocab

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from refseg.cli import main
-from refseg.config import load_train_config, train_config_from_dict, write_kv_file
+from refseg.config import load_train_config, read_kv_file, train_config_from_dict, write_kv_file
 from refseg.errors import ConfigError
 from refseg.data import default_manifest, grammar_to_pairs, GrammarConfig
 from refseg.tensor_io import read_tensor
@@ -166,6 +166,41 @@ def test_unreadable_config_value_rejected(key, value):
     with pytest.raises(ConfigError) as e:
         train_config_from_dict({key: value})
     assert key in str(e.value) and repr(value) in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("model.heads", "0"), ("model.fusion_width", "0"), ("model.backbone_channels", "4,8,0,8")],
+)
+def test_nonpositive_model_size_rejected(key, value):
+    # one flipped bit in a checkpoint's config can write these; the model
+    # would otherwise divide by zero while it is built
+    with pytest.raises(ConfigError) as e:
+        train_config_from_dict({key: value})
+    assert "positive" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("split.train.count", None),
+        ("split.val.seed", "-2"),
+        ("grammar.min_shapes", "abc"),
+        ("grammar.size_frac_max", "big"),
+        ("image_size", "6x"),
+    ],
+)
+def test_gen_data_names_the_bad_manifest_key(tmp_path, capsys, key, value):
+    # None drops the key
+    path = tiny_manifest(tmp_path)
+    pairs = read_kv_file(path)
+    if value is None:
+        del pairs[key]
+    else:
+        pairs[key] = value
+    write_kv_file(path, pairs)
+    assert main(["gen-data", "--out", str(tmp_path / "data"), "--manifest", str(path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_train_with_unknown_config_key_exits_1(tmp_path, dataset, capsys):

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refseg.train as train_module
 from refseg.autodiff import Tensor
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
-from refseg.errors import CheckpointError, ConfigError, NumericalError, PrecisionError
+from refseg.errors import CheckpointError, ConfigError, NumericalError, PrecisionError, RefsegError
 from refseg.model import Model
 from refseg.nn import normal_init
 from refseg.train import (
@@ -49,7 +51,7 @@ def small_train_cfg(**over):
 
 def rewrite_header(path, make_header):
     """Replace a checkpoint's JSON header by ``make_header(header)``'s bytes,
-    keeping the tensor blobs after it."""
+    keeping the payloads after it."""
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<Q", raw, 8)
     blob = make_header(json.loads(raw[16 : 16 + n]))
@@ -192,9 +194,12 @@ def test_train_digest_repeats_and_sees_one_ulp():
     runs = tool.train_runs(model_cfg, steps=1, batch=2)
     first = tool.digest(runs)
     assert tool.digest(tool.train_runs(model_cfg, steps=1, batch=2)) == first
-    w = runs[0][1].model.parameters()[0].value.data.reshape(-1)
-    w[0] = np.nextafter(w[0], np.inf)
-    assert tool.digest(runs) != first
+    for state in runs[0][1]:  # the live state, then the one loaded from its checkpoint
+        w = state.model.parameters()[0].value.data.reshape(-1)
+        w[0] = np.nextafter(w[0], np.inf)
+        assert tool.digest(runs) != first
+        w[0] = np.nextafter(w[0], -np.inf)
+        assert tool.digest(runs) == first
 
 
 def test_batch_indices_deterministic_and_shuffled():
@@ -318,72 +323,64 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "99" in str(e.value) and str(CHECKPOINT_VERSION) in str(e.value)
 
-    def test_checkpoint_of_previous_network_rejected(self, tiny_data, tmp_path):
-        # version 1 files hold the network before the residual query scorer
-        # and the identity-start vision gate; their weights must not load
-        # silently into the changed forward pass
+    @pytest.mark.parametrize("version", [1, 3, 4])
+    def test_older_version_refused(self, tiny_data, tmp_path, version):
+        # version 1 holds the network before the residual query scorer and
+        # the identity-start vision gate, version 3 a header with the removed
+        # model.kernel_activation, version 4 one EAVT blob per tensor
         vocab, _ = tiny_data
         cfg = small_train_cfg()
-        state = init_state(cfg, vocab)
         path = tmp_path / "old.eavc"
-        save_checkpoint(path, cfg, state)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = (1).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_version_3_file_refused(self, tiny_data, tmp_path):
-        # version 3 headers carry model.kernel_activation, which no longer
-        # exists; the version check names both versions
-        vocab, _ = tiny_data
-        cfg = small_train_cfg()
-        path = tmp_path / "v3.eavc"
         save_checkpoint(path, cfg, init_state(cfg, vocab))
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (3).to_bytes(4, "little")
+        raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError) as e:
             load_checkpoint(path)
-        assert "version 3" in str(e.value) and str(CHECKPOINT_VERSION) in str(e.value)
+        assert f"version {version}" in str(e.value) and str(CHECKPOINT_VERSION) in str(e.value)
 
-    def test_missing_adam_moment_rejected(self, tiny_data, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value", [(0, "aligner.renamed"), (1, [3, 1])], ids=["renamed", "reshaped"]
+    )
+    def test_param_entry_not_in_model_rejected(self, tiny_data, tmp_path, field, value):
         vocab, _ = tiny_data
         cfg = small_train_cfg()
-        path = tmp_path / "m.eavc"
+        path = tmp_path / "p.eavc"
         save_checkpoint(path, cfg, init_state(cfg, vocab))
-        name = "opt.m.aligner.w_p"
 
-        def rename_moment(header):
-            header["tensors"] = [t if t != name else "opt.m.renamed" for t in header["tensors"]]
+        def edit_w_p(header):
+            entry = next(e for e in header["params"] if e[0] == "aligner.w_p")
+            entry[field] = value
             return json.dumps(header).encode()
 
-        rewrite_header(path, rename_moment)
+        rewrite_header(path, edit_w_p)
         with pytest.raises(CheckpointError) as e:
             load_checkpoint(path)
-        assert name in str(e.value)
+        assert str(value) in str(e.value) and "aligner.w_p" in str(e.value)
 
-    def test_adam_moment_of_wrong_shape_rejected(self, tiny_data, tmp_path):
+    @pytest.mark.parametrize("change", ["short", "long", "other_precision"])
+    def test_payload_of_wrong_size_rejected(self, tiny_data, tmp_path, change):
+        # the arenas follow the header with nothing after them, so the file
+        # size alone tells a truncated, padded or wrong-precision payload
         vocab, _ = tiny_data
         cfg = small_train_cfg()
-        state = init_state(cfg, vocab)
-        state.optimizer.v["aligner.w_p"] = np.zeros(3, dtype=np.float32)
-        save_checkpoint(tmp_path / "s.eavc", cfg, state)
+        path = tmp_path / "s.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+        if change == "other_precision":
+
+            def to_double(header):
+                header["config"]["model.precision"] = "double"
+                return json.dumps(header).encode()
+
+            rewrite_header(path, to_double)
+        raw = path.read_bytes()
+        path.write_bytes({"short": raw[:-4], "long": raw + b"\0" * 4}.get(change, raw))
         with pytest.raises(CheckpointError) as e:
-            load_checkpoint(tmp_path / "s.eavc")
-        assert "opt.v.aligner.w_p" in str(e.value)
+            load_checkpoint(path)
+        size = path.stat().st_size
+        assert str(size) in str(e.value) and "expected" in str(e.value)
 
-    def test_adam_moment_of_wrong_dtype_rejected(self, tiny_data, tmp_path):
-        vocab, _ = tiny_data
-        cfg = small_train_cfg()
-        state = init_state(cfg, vocab)
-        state.optimizer.m["aligner.w_p"] = state.optimizer.m["aligner.w_p"].astype(np.float64)
-        save_checkpoint(tmp_path / "d.eavc", cfg, state)
-        with pytest.raises(PrecisionError) as e:
-            load_checkpoint(tmp_path / "d.eavc")
-        assert "opt.m.aligner.w_p" in str(e.value)
-
-    @pytest.mark.parametrize("dropped", ["not_json", "config", "vocab", "step", "adam_t", "tensors"])
+    @pytest.mark.parametrize("dropped", ["not_json", "config", "vocab", "step", "adam_t", "params"])
     def test_malformed_header_rejected(self, tiny_data, tmp_path, dropped):
         vocab, _ = tiny_data
         cfg = small_train_cfg()
@@ -396,6 +393,16 @@ class TestCheckpoint:
             return json.dumps({k: v for k, v in header.items() if k != dropped}).encode()
 
         rewrite_header(path, make_header)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "vocab", "params"])
+    def test_header_entry_of_wrong_type_rejected(self, tiny_data, tmp_path, key):
+        vocab, _ = tiny_data
+        cfg = small_train_cfg()
+        path = tmp_path / "w.eavc"
+        save_checkpoint(path, cfg, init_state(cfg, vocab))
+        rewrite_header(path, lambda header: json.dumps({**header, key: 5}).encode())
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -412,15 +419,38 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert key in str(e.value)
 
-    def test_cross_precision_load_rejected(self, tiny_data, tmp_path):
-        vocab, _ = tiny_data
-        cfg = small_train_cfg()
-        state = init_state(cfg, vocab)
-        path = tmp_path / "p.eavc"
-        save_checkpoint(path, cfg, state)
-        with pytest.raises(PrecisionError) as e:
-            load_checkpoint(path, expect_precision="double")
-        assert "single" in str(e.value) and "double" in str(e.value)
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    cfg = small_train_cfg()
+    path = tmp_path_factory.mktemp("checkpoint") / "c.eavc"
+    save_checkpoint(path, cfg, init_state(cfg, vocabulary_for(GrammarConfig(image_size=16))))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_typed_error(checkpoint_bytes, tmp_path_factory, data):
+    # a truncated file always fails; a flipped bit may load (inside a
+    # payload it changes one value) but any failure is a RefsegError
+    raw = checkpoint_bytes
+    path = tmp_path_factory.getbasetemp() / "damaged.eavc"
+    if data.draw(st.booleans(), label="truncate"):
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        return
+    # about half the flips land in the first 16 bytes or the JSON header,
+    # which are a few percent of the file
+    header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    bit = data.draw(st.integers(0, 8 * header_end - 1) | st.integers(0, 8 * len(raw) - 1), label="bit")
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    try:
+        load_checkpoint(path)
+    except RefsegError:
+        pass
 
 
 def test_nan_loss_aborts_with_dump(tiny_data, tmp_path):
