@@ -1,17 +1,28 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Values are numpy arrays in float32 or float64, channels-last and row-major
-everywhere.  Operations executed while a :class:`Tape` is active record one
-node each; :func:`backward` replays the tape in reverse execution order,
-accumulating gradients into every reachable tensor.
+everywhere.  Operations executed while a :class:`Tape` is active record at
+most one node each; :func:`backward` replays the tape in reverse execution
+order, accumulating gradients into every reachable tensor that requires
+one.
 
-Node protocol (PyTorch autograd's): a node reads its output's gradient.  If
-none flowed into the output it does nothing; otherwise it releases that
-gradient and calls the op's backward closure as ``bw(g)``, which
-accumulates into the operands.  So after backward only leaves (parameters
-and inputs) hold a gradient.  Tensors are treated as immutable once
-created: no operation writes to its operands, so a tape can always be
-replayed against the values it captured.
+Gradient rule (PyTorch autograd's): a tensor requires a gradient only if
+it says so.  ``Tensor`` defaults to ``requires_grad=False``, so images,
+masks, attention biases and other constants are not differentiated; a
+``Parameter`` sets the flag on its value.  Under a tape an op's output
+requires a gradient if any operand does, and an op whose operands all
+require none records no node.  Outside a tape nothing is recorded and no
+output requires a gradient.
+
+Node protocol: a node reads its output's gradient.  If none flowed into
+the output it does nothing; otherwise it releases that gradient and calls
+the op's backward closure as ``bw(g)``, which accumulates into the
+operands that require a gradient and skips the others before computing
+their term.  So after backward only leaves that require a gradient
+(parameters, and tensors built with ``requires_grad=True``) hold one.
+Tensors are treated as immutable once created: no operation writes to its
+operands, so a tape can always be replayed against the values it
+captured.
 
 Shape contract: every op takes an optional leading batch axis, and the
 unbatched shape is the same code with no leading dims.  Spatial ops take
@@ -65,37 +76,41 @@ class Tape:
         return False
 
 
-def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _record(out: "Tensor", backward_fn: Callable[[np.ndarray], None], *operands: "Tensor") -> None:
+    """Record the tape node of the op that produced ``out`` from
+    ``operands``; see the module docstring for the rule and the protocol."""
+    if not _TAPE_STACK:
+        return
+    for t in operands:
+        if t.requires_grad:
+            break
+    else:
+        return
+    out.requires_grad = True
 
+    def node():
+        g = out.grad
+        if g is None:
+            return
+        out.grad = None
+        backward_fn(g)
 
-def _record(out: "Tensor", backward_fn: Callable[[np.ndarray], None]) -> None:
-    """Record the tape node of the op that produced ``out``; see the module
-    docstring for the protocol."""
-    tape = active_tape()
-    if tape is not None:
-
-        def node():
-            g = out.grad
-            if g is None:
-                return
-            out.grad = None
-            backward_fn(g)
-
-        tape.record(node)
+    _TAPE_STACK[-1].record(node)
 
 
 class Tensor:
-    """Dense n-dimensional array plus a gradient slot filled by backward."""
+    """Dense n-dimensional array plus a gradient slot filled by backward for
+    tensors that require a gradient."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, dtype=None) -> None:
+    def __init__(self, data, dtype=None, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple:
@@ -128,6 +143,7 @@ class Parameter:
     def __init__(self, name: str, value: Tensor) -> None:
         self.name = name
         self.value = value
+        value.requires_grad = True
 
     @property
     def gradient(self) -> np.ndarray:
@@ -144,7 +160,8 @@ class Parameter:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into every tensor reachable from loss."""
+    """Accumulate d(loss)/d(tensor) into every tensor reachable from loss
+    that requires a gradient."""
     if loss.data.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
@@ -190,10 +207,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
-    _record(out, bw)
+    _record(out, bw, a, b)
     return out
 
 
@@ -205,10 +224,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
-    _record(out, bw)
+    _record(out, bw, a, b)
     return out
 
 
@@ -220,10 +241,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    _record(out, bw)
+    _record(out, bw, a, b)
     return out
 
 
@@ -234,7 +257,7 @@ def mulc(a: Tensor, c: float) -> Tensor:
     def bw(g):
         _accum(a, g * c)
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -244,7 +267,7 @@ def addc(a: Tensor, c: float) -> Tensor:
     def bw(g):
         _accum(a, g)
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -255,7 +278,7 @@ def relu(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g * (a.data > 0))
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -266,7 +289,7 @@ def exp(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g * y)
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -277,7 +300,7 @@ def powc(a: Tensor, p: float) -> Tensor:
     def bw(g):
         _accum(a, g * p * a.data ** (p - 1))
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -291,7 +314,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bw(g):
         _accum(a, g.reshape(a.shape))
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -305,7 +328,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     def bw(g):
         _accum(a, g.transpose(inv))
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -321,11 +344,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(int(lo), int(hi))
-            _accum(p, g[tuple(idx)])
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(int(lo), int(hi))
+                _accum(p, g[tuple(idx)])
 
-    _record(out, bw)
+    _record(out, bw, *parts)
     return out
 
 
@@ -347,7 +371,7 @@ def getitem(a: Tensor, idx) -> Tensor:
         else:
             a.grad[idx] += g
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -366,7 +390,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         # round differently
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -394,13 +418,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     out = Tensor(xhat * gamma.data + beta.data)
 
     def bw(g):
-        _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
-        _accum(beta, g.reshape(-1, n).sum(axis=0))
-        gx = g * gamma.data
-        mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
-        _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)))
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gamma.data
+            mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
+            _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)))
 
-    _record(out, bw)
+    _record(out, bw, x, gamma, beta)
     return out
 
 
@@ -417,7 +444,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
-    _record(out, bw)
+    _record(out, bw, a)
     return out
 
 
@@ -441,13 +468,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data @ b.data)
 
     def bw(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if shared:
-            _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]))
-        else:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            if shared:
+                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]))
+            else:
+                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    _record(out, bw)
+    _record(out, bw, a, b)
     return out
 
 
@@ -549,18 +578,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def bw(g):
         gmat = g.reshape(rows + (cout,))
-        cols = cols_cache if cols_cache is not None else _im2col(x.data, k, pad)
-        cols = cols.reshape(rows + (k * k * cin,))
-        _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape))
-        if bias is not None:
+        if kernel.requires_grad:
+            cols = cols_cache if cols_cache is not None else _im2col(x.data, k, pad)
+            cols = cols.reshape(rows + (k * k * cin,))
+            _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
             _accum(bias, gmat.sum(axis=-2))
-        # dx: correlate the output gradient with the spatially flipped kernel,
-        # swapping in/out channels; valid because stride is 1 and k is odd.
-        kflip = np.swapaxes(kernel.data[..., ::-1, ::-1, :, :], -1, -2)
-        gcols = _im2col(g, k, pad).reshape(rows + (k * k * cout,))
-        _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape))
+        if x.requires_grad:
+            # dx: correlate the output gradient with the spatially flipped kernel,
+            # swapping in/out channels; valid because stride is 1 and k is odd.
+            kflip = np.swapaxes(kernel.data[..., ::-1, ::-1, :, :], -1, -2)
+            gcols = _im2col(g, k, pad).reshape(rows + (k * k * cout,))
+            _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape))
 
-    _record(out, bw)
+    _record(out, bw, x, kernel, *(() if bias is None else (bias,)))
     return out
 
 
@@ -623,7 +654,7 @@ def upsample2x(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, _apply_separable(g, mh.T, mw.T))
 
-    _record(out, bw)
+    _record(out, bw, x)
     return out
 
 
@@ -640,7 +671,7 @@ def avgpool2x(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2) * x.data.dtype.type(0.25))
 
-    _record(out, bw)
+    _record(out, bw, x)
     return out
 
 
@@ -661,5 +692,5 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         s = 1.0 / (1.0 + np.exp(-x))
         _accum(logits, (s - t) * (g / x.size))
 
-    _record(out, bw)
+    _record(out, bw, logits)
     return out

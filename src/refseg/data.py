@@ -54,6 +54,8 @@ class GrammarConfig:
     templates: tuple = TEMPLATES
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise ConfigError(f"image_size must be positive, got {self.image_size}")
         for c in self.colors:
             if c not in COLOR_TABLE:
                 raise ConfigError(f"unknown color {c!r}")

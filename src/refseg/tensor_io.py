@@ -8,6 +8,8 @@ debug dumps.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -36,7 +38,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < dims_end:
         raise CheckpointError("EAVT blob truncated in dims")
     dims = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # Python ints: a product past 2**64 must not wrap
     payload = len(blob) - dims_end
     if payload == 4 * count:
         dtype = np.dtype("<f4")
@@ -46,7 +48,11 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
         raise CheckpointError(
             f"EAVT payload of {payload} bytes does not match {count} f32 or f64 elements"
         )
-    return np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims).copy()
+    try:  # numpy refuses some empty shapes, e.g. (2**32 - 1, 2**32 - 1, 0)
+        arr = np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims)
+    except ValueError as e:
+        raise CheckpointError(f"EAVT dims {dims} are not a numpy shape: {e}") from None
+    return arr.copy()
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -101,6 +107,8 @@ def _read_pnm_header(f):
     if not all(t.isdigit() for t in fields):
         raise CheckpointError(f"netpbm width, height and maxval must be numbers, got {fields}")
     w, h, maxval = (int(t) for t in fields)
+    if w < 1 or h < 1:
+        raise CheckpointError(f"netpbm image of {w} x {h} pixels is empty")
     if not 1 <= maxval <= 255:
         raise CheckpointError(f"netpbm maxval {maxval} outside 1..255")
     return magic, w, h, maxval
@@ -112,9 +120,11 @@ def _read_pnm(path, magic: bytes, channels: int) -> tuple:
         got, w, h, maxval = _read_pnm_header(f)
         if got != magic:
             raise CheckpointError(f"{path}: expected {magic.decode()} netpbm, got {got!r}")
-        raw = f.read(w * h * channels)
-    if len(raw) != w * h * channels:
-        raise CheckpointError(f"{path}: truncated payload, {len(raw)} of {w * h * channels} bytes")
+        size = w * h * channels
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < size:
+            raise CheckpointError(f"{path}: truncated payload, {left} of {size} bytes")
+        raw = f.read(size)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels), maxval
 
 

@@ -72,6 +72,47 @@ def test_no_recording_without_tape(rng):
     assert out.grad is None
 
 
+def test_ops_on_constants_record_no_node(rng):
+    a = Tensor(rng.standard_normal((2, 4, 4, 3)))
+    k = Tensor(rng.standard_normal((3, 3, 3, 2)))
+    with Tape() as tape:
+        y = ad.conv2d(a, k)
+        z = ad.relu(ad.matmul(ad.concat([y, y], axis=-1), Tensor(rng.standard_normal((4, 2)))))
+    assert len(tape) == 0
+    assert not y.requires_grad and not z.requires_grad
+
+
+def test_parameter_plus_constant_accumulates_only_into_parameter(rng):
+    store = ParamStore(dtype=np.float64, seed=0)
+    w = randn_param(store, "w", (3,), rng)
+    c = Tensor(rng.standard_normal((2, 3)))
+    with Tape() as tape:
+        y = ad.add(w.value, c)
+        assert len(tape) == 1 and y.requires_grad
+        loss = ad.tsum(y)
+    backward(tape, loss)
+    assert np.array_equal(w.gradient, np.full(3, 2.0))
+    assert c.grad is None
+
+
+@pytest.mark.parametrize("input_requires_grad, im2col_calls", [(False, 1), (True, 2)])
+def test_conv2d_backward_skips_a_constant_input(rng, monkeypatch, input_requires_grad, im2col_calls):
+    # float32 caches the forward's patch matrix for the kernel gradient, so
+    # a second im2col call is the input gradient's
+    calls = []
+    im2col = ad._im2col
+    monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(1) or im2col(*a))
+    store = ParamStore(dtype=np.float32, seed=0)
+    k = store.parameter("k", (3, 3, 2, 4), lambda r, s, d: r.standard_normal(s).astype(d))
+    x = Tensor(rng.standard_normal((2, 5, 5, 2)).astype(np.float32), requires_grad=input_requires_grad)
+    with Tape() as tape:
+        loss = ad.tsum(ad.conv2d(x, k.value))
+    backward(tape, loss)
+    assert len(calls) == im2col_calls
+    assert (x.grad is not None) == input_requires_grad
+    assert k.value.grad is not None
+
+
 def test_gradcheck_linear_function_tiny_error(rng):
     store = ParamStore(dtype=np.float64, seed=0)
     w = randn_param(store, "w", (4, 4), rng)

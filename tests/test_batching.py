@@ -3,6 +3,7 @@ single-sample cases, the per-step tape budget, and gradient release."""
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -197,10 +198,92 @@ def test_train_step_tape_is_the_same_at_every_batch_size(monkeypatch):
         assert counts[(mode, 1)] == counts[(mode, 2)] == counts[(mode, 4)] <= 400, counts
 
 
+@pytest.fixture(scope="module")
+def default_step_data():
+    grammar = GrammarConfig()
+    return vocabulary_for(grammar), generate_split(3, 4, grammar)
+
+
+def test_default_train_step_leaves_constants_without_gradient(default_step_data, monkeypatch):
+    """The image batch, the pad-key biases and the coordinate maps are
+    operands of taped ops but require no gradient, so none is computed."""
+    vocab, samples = default_step_data
+    operands = {}
+    record = ad._record
+
+    def spy(out, bw, *ts):
+        operands.update((id(t), t) for t in ts)
+        record(out, bw, *ts)
+
+    monkeypatch.setattr(ad, "_record", spy)
+    cfg = TrainConfig(model=ModelConfig(), steps=1, batch_size=4)
+    train(cfg, init_state(cfg, vocab), samples)
+    constants = [t for t in operands.values() if not t.requires_grad]
+    images = [t for t in constants if t.shape == (4, 64, 64, 3)]
+    key_biases = [t for t in constants if np.isneginf(t.data).any()]
+    coords = [t for t in constants if t.shape[0] == 4 and t.shape[-1] == 2]
+    assert len(images) == 1 and key_biases and coords
+    assert all(t.grad is None for t in constants)
+
+
+def test_constants_record_no_nodes_in_default_train_step(default_step_data, monkeypatch):
+    """Tape nodes per default-config step, against the counts from when every
+    op recorded a node whatever its operands: no mode records more, and
+    ``no_estimator``'s aggregation by all-ones scores records one fewer."""
+    vocab, samples = default_step_data
+    record = Tape.record
+    nodes = []
+    monkeypatch.setattr(Tape, "record", lambda tape, fn: nodes.append(fn) or record(tape, fn))
+    counts = {}
+    for mode in MODES:
+        cfg = TrainConfig(model=ModelConfig(), steps=1, batch_size=4, mode=mode)
+        state = init_state(cfg, vocab)
+        nodes.clear()
+        train(cfg, state, samples)
+        counts[mode] = len(nodes)
+    every_op = {"full": 312, "fixed_kernel": 279, "no_estimator": 289, "no_fvg": 308}
+    assert all(counts[m] <= every_op[m] for m in MODES), counts
+    assert counts["no_estimator"] < every_op["no_estimator"], counts
+
+
+STEP_FAULTS = """
+import json, resource
+from refseg.config import ModelConfig, TrainConfig
+from refseg.data import GrammarConfig, generate_split, vocabulary_for
+from refseg.train import init_state, train
+grammar = GrammarConfig()
+samples = generate_split(0, 16, grammar)
+cfg = TrainConfig(model=ModelConfig(), steps=7, batch_size=4)
+state = init_state(cfg, vocabulary_for(grammar))
+faults = []
+for step in range(1, 8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(cfg, state, samples, max_step=step)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+def test_default_train_step_does_not_refault_the_heap():
+    """A steady default-config step reuses the heap.  If glibc trims the
+    memory a step freed and faults it back on the next, a step takes
+    2400-2800 minor page faults (seen when gradients were views into an
+    arena) and runs measurably slower; a reusing step takes 0-5."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", STEP_FAULTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    # two warm-up steps, then the median of five
+    assert np.median(faults[2:]) < 200, faults
+
+
 def test_backward_releases_intermediate_gradients(rng):
     store = ParamStore(dtype=np.float64, seed=0)
     w = randn_param(store, "w", (4, 3), rng)
-    x = Tensor(rng.standard_normal((5, 4)))
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     with Tape() as tape:
         h = ad.matmul(x, w.value)
         y = ad.relu(h)

@@ -26,7 +26,7 @@ from refseg.data import (
     vocabulary_for,
 )
 from refseg.encoders import tokenize
-from refseg.errors import GenerationError
+from refseg.errors import ConfigError, GenerationError
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,14 @@ def test_manifest_regeneration_bit_identical():
     for sa, sb in zip(a["train"], b["train"]):
         assert sa.expression == sb.expression
         assert np.array_equal(sa.image, sb.image)
+
+
+@pytest.mark.parametrize("size", ["0", "-16"])
+def test_manifest_with_nonpositive_image_size_names_the_key(size):
+    manifest = default_manifest(image_size=16)
+    manifest["image_size"] = size
+    with pytest.raises(ConfigError, match="image_size"):
+        generate_from_manifest(manifest)
 
 
 def test_vocabulary_covers_grammar():

@@ -1,9 +1,13 @@
 """Binary tensor blobs and netpbm round trips."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refseg.errors import CheckpointError
+from refseg.errors import CheckpointError, RefsegError
 from refseg.tensor_io import (
     read_pgm,
     read_ppm,
@@ -83,11 +87,64 @@ def test_pgm_round_trip_binary_mask(tmp_path, rng):
         (read_pgm, b"P5\n2 2\nmax\n" + bytes(4)),
         (read_ppm, b"P6\n2 2\n0\n" + bytes(12)),
         (read_pgm, b"P5\n2 2\n256\n" + bytes(4)),
+        # the declared size is checked against the bytes in the file before
+        # anything is read, so nothing of that size is allocated
+        (read_ppm, b"P6\n99999999999999999999 1\n255\n" + bytes(12)),
+        (read_pgm, b"P5\n4000000000 4000000000\n255\n" + bytes(4)),
+        (read_ppm, b"P6\n0 5\n255\n"),
+        (read_pgm, b"P5\n3 0\n255\n"),
     ],
-    ids=["truncated_ppm", "truncated_pgm", "text_width", "float_height", "text_maxval", "maxval_0", "maxval_256"],
+    ids=[
+        "truncated_ppm", "truncated_pgm", "text_width", "float_height", "text_maxval", "maxval_0", "maxval_256",
+        "width_past_int64", "16e18_pixels", "zero_width", "zero_height",
+    ],
 )
 def test_malformed_netpbm_rejected(tmp_path, read, content):
     path = tmp_path / "bad.pnm"
     path.write_bytes(content)
     with pytest.raises(CheckpointError):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [4 * [2**16], [2**32 - 1, 2**32 - 1, 0]],
+    # 2**16 ** 4 elements wrap a 64-bit product to 0, which matches an empty
+    # payload; numpy refuses the empty shape
+    ids=["count_past_2_64", "empty_shape_numpy_refuses"],
+)
+def test_eavt_impossible_dims_rejected(dims):
+    with pytest.raises(CheckpointError):
+        tensor_from_bytes(b"EAVT" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims))
+
+
+def _valid_files():
+    rng = np.random.default_rng(7)
+    return {
+        "eavt_f32": tensor_to_bytes(rng.standard_normal((3, 2, 2)).astype(np.float32)),
+        "eavt_f64": tensor_to_bytes(rng.standard_normal((5,))),
+        "ppm": b"P6\n# comment\n3 2\n255\n" + rng.integers(0, 256, 18, dtype=np.uint8).tobytes(),
+        "pgm": b"P5\n2 3\n200\n" + rng.integers(0, 201, 6, dtype=np.uint8).tobytes(),
+    }
+
+
+VALID_FILES = _valid_files()
+READERS = {"eavt_f32": read_tensor, "eavt_f64": read_tensor, "ppm": read_ppm, "pgm": read_pgm}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_or_raises_typed_error(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(VALID_FILES)), label="kind")
+    damaged = bytearray(VALID_FILES[kind])
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(0, len(damaged) - 1), label="length") :]
+    if damaged:
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(damaged) - 1), max_size=3), label="bits"):
+            damaged[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / f"damaged.{kind}"
+    path.write_bytes(bytes(damaged))
+    try:
+        READERS[kind](path)
+    except RefsegError:
+        pass

@@ -339,9 +339,9 @@ def test_layer_norm_gradcheck(shape, rng):
 
 
 def test_layer_norm_matches_composed_formula(rng):
-    x = Tensor(3.0 * rng.standard_normal((7, 10)) + 1.5)
-    gamma = Tensor(rng.standard_normal(10))
-    beta = Tensor(rng.standard_normal(10))
+    x = Tensor(3.0 * rng.standard_normal((7, 10)) + 1.5, requires_grad=True)
+    gamma = Tensor(rng.standard_normal(10), requires_grad=True)
+    beta = Tensor(rng.standard_normal(10), requires_grad=True)
     proj = rng.standard_normal((7, 10))
     grads = []
     for fn in (ad.layer_norm, composed_layer_norm):
@@ -357,7 +357,7 @@ def test_layer_norm_matches_composed_formula(rng):
 
 
 def test_layer_norm_records_one_node(rng):
-    x = Tensor(rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     with ad.Tape() as tape:
         ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
     assert len(tape) == 1
