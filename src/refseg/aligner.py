@@ -117,7 +117,9 @@ class MaskGenerator:
 
     def project_fp(self, f_s: Tensor) -> Tensor:
         """(..., S, S, C) -> (..., 4S, 4S, Cp): upsample, 3x3 conv, upsample."""
-        mid = ad.conv2d(ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value)
+        mid = ad.conv2d(
+            ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value, accumulate=np.float32
+        )
         return ad.upsample2x(mid)
 
     def _kernels(self, f_q: Tensor) -> tuple:

@@ -525,7 +525,9 @@ def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     return acc
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def conv2d(
+    x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, *, accumulate=np.float64
+) -> Tensor:
     """Stride-1 2D convolution of an (H, W, Cin) or (B, H, W, Cin) map,
     spatial size preserved.
 
@@ -533,7 +535,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     (B, k, k, Cin, Cout) with one kernel per sample of a batched map; the
     bias is (Cout,) or (B, Cout) to match.  Zero padding of (k-1)//2.
     The double-precision forward accumulates taps in a fixed order and is
-    bit-reproducible against a naive per-pixel loop.
+    bit-reproducible against a naive per-pixel loop; it ignores
+    ``accumulate``.
+
+    A single-precision forward is one im2col GEMM summed in ``accumulate``.
+    With the default float64 each output is within one rounding of the
+    exact sum.  The two mask heads keep it: the dynamic head must stay
+    within criterion 2's 1e-6 of the double-precision oracle (a float32 sum
+    came within 9.7e-7 of it), and the fixed-kernel head sums as the
+    dynamic one does so that criterion 8 compares like with like.  The
+    feature convs of the backbone, neck and query generator pass float32:
+    a plain float32 GEMM with no double copy of the patch matrix, each
+    output within the dot-product bound gamma_K * sum|x*k|
+    (K = k*k*Cin + 1).  The backward does not depend on ``accumulate``.
     """
     per_sample = kernel.ndim == 5
     batch = kernel.shape[:1] if per_sample else ()
@@ -566,14 +580,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if x.data.dtype == np.float64:
         ydata = _conv_forward_f64(x.data, kernel.data, bdata, pad)
     else:
-        # single precision: accumulate in double so the result is within one
-        # rounding step of the exact sum, then cast back
         cols_cache = _im2col(x.data, k, pad)
-        kmat = kernel.data.reshape(batch + (k * k * cin, cout))
-        ydata = cols_cache.reshape(rows + (k * k * cin,)).astype(np.float64) @ kmat.astype(np.float64)
+        cols = cols_cache.reshape(rows + (k * k * cin,)).astype(accumulate, copy=False)
+        kmat = kernel.data.reshape(batch + (k * k * cin, cout)).astype(accumulate, copy=False)
+        ydata = cols @ kmat
         if bdata is not None:
-            ydata = ydata + bdata[..., None, :]
-        ydata = ydata.reshape(x.shape[:-1] + (cout,)).astype(np.float32)
+            ydata += bdata[..., None, :]
+        ydata = ydata.reshape(x.shape[:-1] + (cout,)).astype(np.float32, copy=False)
     out = Tensor(ydata)
 
     def bw(g):

@@ -227,7 +227,8 @@ class ImageEncoder:
         x = image
         stages = []
         for kernel, bias in self.convs:
-            x = ad.avgpool2x(ad.relu(ad.conv2d(x, kernel.value, bias.value)))
+            x = ad.conv2d(x, kernel.value, bias.value, accumulate=np.float32)
+            x = ad.avgpool2x(ad.relu(x))
             stages.append(x)
         x2, x3, x4 = stages[1], stages[2], stages[3]
 

@@ -76,7 +76,9 @@ class _PyramidFuser:
             axis=-1,
         )
         stacked = ad.concat([f_m2, f_m3, f_m4], axis=-1)
-        return ad.conv2d(stacked, self.conv_m.value, self.conv_m_b.value)
+        return ad.conv2d(
+            stacked, self.conv_m.value, self.conv_m_b.value, accumulate=np.float32
+        )
 
     def intermediate(self, f_m: Tensor, f_coord: Tensor) -> Tensor:
         """Appends the coordinate channels, broadcast over the batch, and
@@ -85,7 +87,9 @@ class _PyramidFuser:
             raise DimensionError(f"coord map {f_coord.shape} vs fused map {f_m.shape}")
         f_coord = Tensor(np.broadcast_to(f_coord.data, f_m.shape[:-1] + f_coord.shape[-1:]))
         stacked = ad.concat([f_m, f_coord], axis=-1)
-        return ad.conv2d(stacked, self.conv_inte.value, self.conv_inte_b.value)
+        return ad.conv2d(
+            stacked, self.conv_inte.value, self.conv_inte_b.value, accumulate=np.float32
+        )
 
 
 class FusionNeck:

@@ -18,11 +18,17 @@ import numpy as np
 from .errors import CheckpointError
 
 EAVT_MAGIC = b"EAVT"
+EAVT_MAX_RANK = 8
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
+    """The EAVT blob of ``arr``; refuses what ``tensor_from_bytes`` refuses."""
     if arr.dtype not in (np.float32, np.float64):
         raise CheckpointError(f"EAVT stores f32/f64 payloads, got {arr.dtype}")
+    if arr.ndim > EAVT_MAX_RANK:
+        raise CheckpointError(f"EAVT rank {arr.ndim} out of range")
+    if any(d >= 2**32 for d in arr.shape):
+        raise CheckpointError(f"EAVT dims {arr.shape} do not fit u32")
     header = EAVT_MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + np.ascontiguousarray(arr).tobytes()
@@ -32,7 +38,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < 8 or blob[:4] != EAVT_MAGIC:
         raise CheckpointError("not an EAVT blob (bad magic)")
     (rank,) = struct.unpack_from("<I", blob, 4)
-    if rank > 8:
+    if rank > EAVT_MAX_RANK:
         raise CheckpointError(f"EAVT rank {rank} out of range")
     dims_end = 8 + 4 * rank
     if len(blob) < dims_end:
@@ -125,7 +131,11 @@ def _read_pnm(path, magic: bytes, channels: int) -> tuple:
         if left < size:
             raise CheckpointError(f"{path}: truncated payload, {left} of {size} bytes")
         raw = f.read(size)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels), maxval
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
+    top = int(pixels.max())
+    if top > maxval:
+        raise CheckpointError(f"{path}: largest sample {top} above maxval {maxval}")
+    return pixels, maxval
 
 
 def read_ppm(path) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from refseg import autodiff as ad
+from refseg.aligner import MaskGenerator
 from refseg.autodiff import Tape, Tensor, backward
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
@@ -114,6 +115,28 @@ def test_per_sample_kernel_conv_matches_naive_loop(rng):
             ref = naive_conv(x[j], k[j], bias[j])
             assert np.array_equal(out64[j], ref), "double precision must be exact"
             assert np.abs(out32[j] - ref).max() < 1e-6
+
+
+def test_batched_float32_masks_from_queries_match_naive_loop(tiny_cfg, rng):
+    """The dynamic head's batched training path keeps the double sum: every
+    mask is within 1e-6 of the double loop over the same float32 kernels,
+    and within half a float32 ulp of it (a float32 sum is off by thousands
+    of ulps where the taps cancel)."""
+    cfg = dataclasses.replace(tiny_cfg, num_queries=4)
+    gen = MaskGenerator(ParamStore(dtype=np.float32, seed=0), cfg)
+    cp = cfg.kernel_channels
+    f_p = (0.5 * rng.standard_normal((3, 8, 8, cp))).astype(np.float32)
+    f_q = rng.standard_normal((3, 4, cfg.fusion_width)).astype(np.float32)
+    masks = gen.masks_from_queries(Tensor(f_p), Tensor(f_q)).data
+    weights, bias = (t.data.astype(np.float64) for t in gen._kernels(Tensor(f_q)))
+    assert masks.shape == (3, 4, 8, 8) and masks.dtype == np.float32
+    for j in range(3):
+        for n in range(4):
+            ref = naive_conv(f_p[j].astype(np.float64), weights[j, n, ..., None], bias[j, n : n + 1])[:, :, 0]
+            err = np.abs(masks[j, n] - ref)
+            assert err.max() < 1e-6
+            # 1e-12 covers the two double sums' different orders
+            assert np.all(err <= 0.5 * np.spacing(np.abs(ref).astype(np.float32)) + 1e-12)
 
 
 def test_shared_kernel_batched_conv_equals_per_sample_conv(rng):

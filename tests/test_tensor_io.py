@@ -62,6 +62,22 @@ def test_eavt_truncated_payload():
         tensor_from_bytes(blob[:-3])
 
 
+def test_eavt_rank_8_round_trip():
+    arr = np.arange(2, dtype=np.float32).reshape((1,) * 7 + (2,))
+    assert np.array_equal(tensor_from_bytes(tensor_to_bytes(arr)), arr)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1,) * 9, (2**32, 0)],
+    # the second is empty, so nothing large is allocated
+    ids=["rank_9", "dim_past_u32"],
+)
+def test_eavt_writer_refuses_what_the_reader_refuses(shape):
+    with pytest.raises(CheckpointError):
+        tensor_to_bytes(np.zeros(shape, np.float32))
+
+
 def test_ppm_round_trip(tmp_path, rng):
     img = rng.random((5, 7, 3)).astype(np.float32)
     write_ppm(tmp_path / "i.ppm", img)
@@ -93,10 +109,13 @@ def test_pgm_round_trip_binary_mask(tmp_path, rng):
         (read_pgm, b"P5\n4000000000 4000000000\n255\n" + bytes(4)),
         (read_ppm, b"P6\n0 5\n255\n"),
         (read_pgm, b"P5\n3 0\n255\n"),
+        (read_ppm, b"P6\n2 1\n100\n" + bytes(5) + b"\xff"),
+        (read_pgm, b"P5\n2 1\n100\n" + bytes(1) + b"\xff"),
     ],
     ids=[
         "truncated_ppm", "truncated_pgm", "text_width", "float_height", "text_maxval", "maxval_0", "maxval_256",
-        "width_past_int64", "16e18_pixels", "zero_width", "zero_height",
+        "width_past_int64", "16e18_pixels", "zero_width", "zero_height", "ppm_sample_above_maxval",
+        "pgm_sample_above_maxval",
     ],
 )
 def test_malformed_netpbm_rejected(tmp_path, read, content):

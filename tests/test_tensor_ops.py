@@ -182,6 +182,56 @@ def test_conv_single_precision_close_to_oracle(rng):
     assert np.abs(out.data - ref).max() < 1e-6
 
 
+def gamma(n, unit_roundoff):
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of an
+    n-term dot product summed in any order (Accuracy and Stability of
+    Numerical Algorithms, section 3.1)."""
+    return n * unit_roundoff / (1 - n * unit_roundoff)
+
+
+def _f32_conv_case(rng, per_sample):
+    """Float32-representable (x, kernel, bias) in float64: a batch of 3 maps
+    with a shared or a per-sample 3x3 kernel."""
+    cin, cout = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    lead = (3,) if per_sample else ()
+    shapes = ((3, 7, 6, cin), lead + (3, 3, cin, cout), lead + (cout,))
+    return [rng.standard_normal(s).astype(np.float32).astype(np.float64) for s in shapes]
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per_sample"])
+def test_conv_float32_sum_within_dot_product_bound(per_sample, rng):
+    for _ in range(5):
+        x, k, b = _f32_conv_case(rng, per_sample)
+        out = ad.conv2d(*(Tensor(a.astype(np.float32)) for a in (x, k, b)), accumulate=np.float32)
+        assert out.data.dtype == np.float32
+        n_terms = k.shape[-4] * k.shape[-3] * k.shape[-2] + 1  # taps and the bias
+        for j in range(3):
+            kj, bj = (k[j], b[j]) if per_sample else (k, b)
+            ref = naive_conv(x[j], kj, bj)
+            # the reference's own double rounding is covered by the f64 term
+            bound = (gamma(n_terms, 2.0**-24) + gamma(n_terms, 2.0**-53)) * naive_conv(
+                np.abs(x[j]), np.abs(kj), np.abs(bj)
+            )
+            assert np.all(np.abs(out.data[j] - ref) <= bound)
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per_sample"])
+def test_conv_gradients_do_not_depend_on_accumulation(per_sample, rng):
+    x, k, b = (a.astype(np.float32) for a in _f32_conv_case(rng, per_sample))
+    proj = Tensor(rng.standard_normal(x.shape[:-1] + (k.shape[-1],)).astype(np.float32))
+    grads = []
+    for acc in (np.float64, np.float32):
+        store = ParamStore(dtype=np.float32, seed=0)
+        params = [param(store, name, a) for name, a in (("x", x), ("k", k), ("b", b))]
+        with ad.Tape() as tape:
+            out = ad.conv2d(*(p.value for p in params), accumulate=acc)
+            loss = ad.tsum(ad.mul(out, proj))
+        ad.backward(tape, loss)
+        grads.append([p.gradient for p in params])
+    for wide, narrow in zip(*grads):
+        assert np.array_equal(wide, narrow)
+
+
 # ---------------------------------------------------------------------------
 # upsample2x / avgpool2x
 

@@ -10,6 +10,10 @@ as its parent commit, so run it on both and compare:
 
     PYTHONPATH=src python tools/train_digest.py --steps 3 --batch 4 --precision single
 
+A change confined to float32 rounding (a different sum order or accumulation
+dtype in a single-precision op) moves the ``--precision single`` digest but
+must still print its parent's ``--precision double`` digest.
+
 It uses only the public training API, so it runs unchanged on older commits.
 """
 
