@@ -30,14 +30,14 @@ unbatched shape is the same code with no leading dims.  Spatial ops take
 per sample.  ``matmul`` takes (..., M, K) against either a shared (K, N)
 weight or a (..., K, N) operand with equal leading dims.
 
-Broadcast semantics for ``add``/``mul``/``sub`` follow numpy; gradients of
+Broadcast semantics for ``add`` and ``mul`` follow numpy; gradients of
 broadcast operands are sum-reduced back to their shape.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -128,9 +128,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
@@ -216,23 +213,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "sub")
-    try:
-        out = Tensor(a.data - b.data)
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    _record(out, bw, a, b)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "mul")
     try:
@@ -261,44 +241,12 @@ def mulc(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def addc(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data + a.data.dtype.type(c))
-
-    def bw(g):
-        _accum(a, g)
-
-    _record(out, bw, a)
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     # subgradient at 0 is 0
     out = Tensor(np.maximum(a.data, 0))
 
     def bw(g):
         _accum(a, g * (a.data > 0))
-
-    _record(out, bw, a)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def bw(g):
-        _accum(a, g * y)
-
-    _record(out, bw, a)
-    return out
-
-
-def powc(a: Tensor, p: float) -> Tensor:
-    """Elementwise power with a constant exponent (data must support it)."""
-    out = Tensor(a.data**p)
-
-    def bw(g):
-        _accum(a, g * p * a.data ** (p - 1))
 
     _record(out, bw, a)
     return out
@@ -404,8 +352,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis, scale by ``gamma``, shift by ``beta``.
-    The forward rounds as the tmean/sub/powc composition does; the backward
-    is analytic."""
+    The forward rounds as the chain of taped mean, subtract, square, mean
+    and power ops does; the backward is analytic."""
     _check_same_dtype(x, gamma, "layer_norm")
     _check_same_dtype(x, beta, "layer_norm")
     n = x.shape[-1]
@@ -452,20 +400,24 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., M, K) @ (K, N), one weight shared across the leading dims and
-    computed as one GEMM over the flattened rows; or (..., M, K) @
-    (..., K, N) with equal leading dims, which batches independent products
-    with no broadcasting between them."""
+def matmul(a: Tensor, b: Tensor, rows: int = 1) -> Tensor:
+    """(..., M, K) @ (K, N), one weight shared across the leading dims; or
+    (..., M, K) @ (..., K, N) with equal leading dims, which batches
+    independent products with no broadcasting between them.
+
+    The forward runs one GEMM per trailing (M, K) matrix, so a sample's rows
+    round alike whatever the batch size.  ``rows`` counts the axes before K
+    that form M: with a shared weight, an (..., H, W, K) map passes
+    ``rows=2`` and is one (H*W, K) GEMM per sample."""
     _check_same_dtype(a, b, "matmul")
     shared = b.ndim == 2
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or not (shared or a.shape[:-2] == b.shape[:-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     k = a.shape[-1]
-    if shared:
-        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + b.shape[-1:]))
-    else:
-        out = Tensor(a.data @ b.data)
+    x = a.data
+    if shared and rows > 1:
+        x = x.reshape(a.shape[: a.ndim - 1 - rows] + (-1, k))
+    out = Tensor((x @ b.data).reshape(a.shape[:-1] + b.shape[-1:]))
 
     def bw(g):
         if a.requires_grad:
@@ -525,6 +477,29 @@ def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     return acc
 
 
+def _conv_forward_taps(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
+    # The float64 sum of a float32 conv, one batched GEMM per tap.  Each
+    # GEMM runs over the full-width rows dy..dy+H of the padded float64 map
+    # (a view, one (H*Wp, Cin) matrix per sample); the output columns
+    # dx..dx+W of its result are that tap's term.  No patch matrix is built.
+    *lead, h, w, cin = x.shape
+    kk, cout = k.shape[-4], k.shape[-1]
+    wp = w + 2 * pad
+    xp = np.zeros((*lead, h + 2 * pad, wp, cin))
+    xp[..., pad : pad + h, pad : pad + w, :] = x
+    k = k.astype(np.float64)
+    tap = np.empty((*lead, h * wp, cout))
+    acc = np.zeros((*lead, h, w, cout))
+    for dy in range(kk):
+        slab = xp[..., dy : dy + h, :, :].reshape(*lead, h * wp, cin)
+        for dx in range(kk):
+            np.matmul(slab, k[..., dy, dx, :, :], out=tap)
+            acc += tap.reshape(*lead, h, wp, cout)[..., dx : dx + w, :]
+    if b is not None:
+        acc += b[..., None, None, :]
+    return acc.astype(np.float32)
+
+
 def conv2d(
     x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, *, accumulate=np.float64
 ) -> Tensor:
@@ -538,16 +513,19 @@ def conv2d(
     bit-reproducible against a naive per-pixel loop; it ignores
     ``accumulate``.
 
-    A single-precision forward is one im2col GEMM summed in ``accumulate``.
+    A single-precision forward sums in ``accumulate``, float64 or float32.
     With the default float64 each output is within one rounding of the
-    exact sum.  The two mask heads keep it: the dynamic head must stay
-    within criterion 2's 1e-6 of the double-precision oracle (a float32 sum
-    came within 9.7e-7 of it), and the fixed-kernel head sums as the
-    dynamic one does so that criterion 8 compares like with like.  The
-    feature convs of the backbone, neck and query generator pass float32:
-    a plain float32 GEMM with no double copy of the patch matrix, each
-    output within the dot-product bound gamma_K * sum|x*k|
-    (K = k*k*Cin + 1).  The backward does not depend on ``accumulate``.
+    exact sum: the map is padded once into float64 and each of the k*k
+    taps is one batched GEMM over its rows (one per sample), added into a
+    float64 accumulator, so no patch matrix is built.  The two mask heads
+    keep it: the dynamic head must stay within criterion 2's 1e-6 of the
+    double-precision oracle (a float32 sum came within 9.7e-7 of it), and
+    the fixed-kernel head sums as the dynamic one does so that criterion 8
+    compares like with like.  The feature convs of the backbone, neck and
+    query generator pass float32: one float32 im2col GEMM, each output
+    within the dot-product bound gamma_K * sum|x*k| (K = k*k*Cin + 1).  The
+    backward does not depend on ``accumulate``; it rebuilds the patch
+    matrix for the kernel gradient when the forward kept none.
     """
     per_sample = kernel.ndim == 5
     batch = kernel.shape[:1] if per_sample else ()
@@ -579,14 +557,14 @@ def conv2d(
     cols_cache = None
     if x.data.dtype == np.float64:
         ydata = _conv_forward_f64(x.data, kernel.data, bdata, pad)
+    elif accumulate == np.float64:
+        ydata = _conv_forward_taps(x.data, kernel.data, bdata, pad)
     else:
         cols_cache = _im2col(x.data, k, pad)
-        cols = cols_cache.reshape(rows + (k * k * cin,)).astype(accumulate, copy=False)
-        kmat = kernel.data.reshape(batch + (k * k * cin, cout)).astype(accumulate, copy=False)
-        ydata = cols @ kmat
+        ydata = cols_cache.reshape(rows + (k * k * cin,)) @ kernel.data.reshape(batch + (k * k * cin, cout))
         if bdata is not None:
             ydata += bdata[..., None, :]
-        ydata = ydata.reshape(x.shape[:-1] + (cout,)).astype(np.float32, copy=False)
+        ydata = ydata.reshape(x.shape[:-1] + (cout,))
     out = Tensor(ydata)
 
     def bw(g):

@@ -200,7 +200,7 @@ def _cmd_dump_masks(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     image = np.asarray(sample.image, dtype=model.dtype)
-    bundle = model.forward_expression(Tensor(image), sample.expression, mode=args.mode or cfg.mode)
+    bundle = model.forward(Tensor(image), model.tokenize(sample.expression), mode=args.mode or cfg.mode)
     for n, mask in enumerate(bundle.masks):
         prob = 1.0 / (1.0 + np.exp(-mask.data.astype(np.float64)))
         write_pgm(out / f"mask{n}.pgm", prob)

@@ -240,8 +240,8 @@ class ImageEncoder:
         zbar = ad.getitem(pooled, (Ellipsis, slice(0, 1), slice(None)))
         z = ad.getitem(pooled, (Ellipsis, slice(1, 1 + h4 * w4), slice(None)))
 
-        f_v2 = linear(x2, self.w_v2)
-        f_v3 = linear(x3, self.w_v3)
+        f_v2 = linear(x2, self.w_v2, rows=2)
+        f_v3 = linear(x3, self.w_v3, rows=2)
         f_v4 = ad.reshape(ad.matmul(z, self.w_z.value), lead + (h4, w4, c4))
         f_vg = ad.reshape(ad.add(ad.matmul(zbar, self.w_zbar.value), self.b_zbar.value), lead + (c4,))
         return ImageFeatures(f_v2=f_v2, f_v3=f_v3, f_v4=f_v4, f_vg=f_vg)

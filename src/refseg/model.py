@@ -31,8 +31,8 @@ class Model:
     """A full referring-segmentation network over one (image, expression),
     or over a batch: a (B, H, W, 3) image stack with the B token sequences
     stacked by ``TokenSequence.stack``.  Every output then gains a leading
-    batch axis, and each sample's outputs equal its own forward pass up to
-    rounding.
+    batch axis, and each sample's outputs equal its own forward pass bit for
+    bit (a property of the numpy/BLAS build that tests/test_batching.py pins).
 
     ``mode`` selects the segmentation head behavior:
       full          dynamic per-query kernels, score-weighted mask sum
@@ -77,6 +77,9 @@ class Model:
         if mode not in TRAIN_MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         lead = image.shape[:-3]
+        size = (self.cfg.image_size, self.cfg.image_size)
+        if image.shape[-3:-1] != size:
+            raise DimensionError(f"image of spatial size {image.shape[-3:-1]}, model expects {size}")
         if tokens.ids.shape[:-1] != lead:
             raise DimensionError(f"image batch {image.shape} vs token batch {tokens.ids.shape}")
         text = self.text_encoder(tokens)
@@ -103,10 +106,15 @@ class Model:
         masks = [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
         return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores))
 
-    def forward_expression(self, image: Tensor, expression: str, mode: str = "full") -> MaskBundle:
-        return self.forward(image, self.tokenize(expression), mode=mode)
+    def predict_batch(self, images: np.ndarray, expressions: Sequence[str], mode: str = "full") -> np.ndarray:
+        """Inference over a (B, H, W, 3) image stack and its B expressions:
+        no tape, returns the (B, 4S, 4S) aggregated logit maps.  The forward
+        is batch-invariant, so each map equals that sample's own
+        ``predict_logits`` bit for bit."""
+        image = Tensor(np.asarray(images, dtype=self.dtype))
+        tokens = TokenSequence.stack([self.tokenize(e) for e in expressions])
+        return self.forward(image, tokens, mode=mode).y.data
 
     def predict_logits(self, image_array: np.ndarray, expression: str, mode: str = "full") -> np.ndarray:
-        """Inference helper: no tape, returns the aggregated logit map."""
-        image = Tensor(np.asarray(image_array, dtype=self.dtype))
-        return self.forward_expression(image, expression, mode=mode).y.data
+        """Inference helper: the aggregated logit map, as a batch of one."""
+        return self.predict_batch(np.asarray(image_array)[None], [expression], mode=mode)[0]

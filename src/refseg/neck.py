@@ -67,12 +67,12 @@ class _PyramidFuser:
         if f_m4.shape[-3:-1] != f_v3.shape[-3:-1]:
             raise DimensionError(f"fused stage-4 {f_m4.shape} vs stage-3 {f_v3.shape}")
         f_m3 = ad.concat(
-            [ad.relu(linear(f_m4, self.w_m4)), ad.relu(linear(f_v3, self.w_v3))],
+            [ad.relu(linear(f_m4, self.w_m4, rows=2)), ad.relu(linear(f_v3, self.w_v3, rows=2))],
             axis=-1,
         )
         f_v2p = ad.avgpool2x(f_v2)
         f_m2 = ad.concat(
-            [ad.relu(linear(f_m3, self.w_m3)), ad.relu(linear(f_v2p, self.w_v2))],
+            [ad.relu(linear(f_m3, self.w_m3, rows=2)), ad.relu(linear(f_v2p, self.w_v2, rows=2))],
             axis=-1,
         )
         stacked = ad.concat([f_m2, f_m3, f_m4], axis=-1)
@@ -100,7 +100,7 @@ class FusionNeck:
 
     def fuse_stage4(self, f_v4: Tensor, f_tg: Tensor) -> Tensor:
         """Language-gated stage-4 features, upsampled onto the fusion grid."""
-        vis = ad.relu(ad.matmul(f_v4, self.fuser.w_v4.value))
+        vis = ad.relu(ad.matmul(f_v4, self.fuser.w_v4.value, rows=2))
         gate = ad.relu(
             ad.matmul(ad.reshape(f_tg, f_tg.shape[:-1] + (1, 1, f_tg.shape[-1])), self.w_tg.value)
         )

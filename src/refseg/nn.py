@@ -88,8 +88,9 @@ class ParamStore:
             p.zero_grad()
 
 
-def linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None) -> Tensor:
-    y = ad.matmul(x, w.value)
+def linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None, *, rows: int = 1) -> Tensor:
+    """x @ w (+ b); ``rows`` as in ``ad.matmul``."""
+    y = ad.matmul(x, w.value, rows=rows)
     if b is not None:
         y = ad.add(y, b.value)
     return y

@@ -60,7 +60,7 @@ class QueryGenerator:
 
     def dense_vision(self, feats: ImageFeatures) -> Tensor:
         """(..., N_q, S*S) saliency rows from the un-gated feature pyramid."""
-        f_m4 = ad.upsample2x(ad.relu(ad.matmul(feats.f_v4, self.fuser.w_v4.value)))
+        f_m4 = ad.upsample2x(ad.relu(ad.matmul(feats.f_v4, self.fuser.w_v4.value, rows=2)))
         f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
         s_h, s_w = f_m.shape[-3:-1]
         x = self.fuser.intermediate(f_m, coord_features(s_h, s_w, dtype=f_m.data.dtype))

@@ -1,11 +1,14 @@
 """Loss and evaluation metrics against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refseg.autodiff import Tensor
+from refseg.data import generate_split, vocabulary_for
 from refseg.errors import DimensionError
 from refseg.gradcheck import grad_check
 from refseg.metrics import (
@@ -18,6 +21,7 @@ from refseg.metrics import (
     predict_binary_mask,
     report_from_ious,
 )
+from refseg.model import Model
 from refseg.nn import ParamStore
 
 
@@ -122,8 +126,9 @@ class _StubModel:
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def predict_logits(self, image, expression, mode="full"):
-        return self.outputs[expression]
+    def predict_batch(self, images, expressions, mode="full"):
+        assert len(images) == len(expressions)
+        return np.stack([self.outputs[e] for e in expressions])
 
 
 def _mask_to_logits(mask):
@@ -200,6 +205,26 @@ class TestEvaluate:
         assert report.mean_iou == pytest.approx(np.mean(per))
         for t in PRECISION_THRESHOLDS:
             assert report.precision_at[t] == pytest.approx(np.mean([v > t for v in per]))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+    def test_chunks_equal_per_sample_predictions(self, n, tiny_cfg, tiny_grammar):
+        """Chunked evaluation over n samples (chunks of EVAL_CHUNK, the last
+        one short) gives the report built from per-sample predict_logits."""
+        model = Model(dataclasses.replace(tiny_cfg, precision="single"), vocabulary_for(tiny_grammar), seed=2)
+        samples = generate_split(4, n, tiny_grammar)
+        inters, unions = [], []
+        for s in samples:
+            pred = predict_binary_mask(model.predict_logits(s.image, s.expression), s.gt_mask.shape)
+            g = s.gt_mask.astype(bool)
+            inters.append(np.logical_and(pred, g).sum())
+            unions.append(np.logical_or(pred, g).sum())
+        assert evaluate(model, samples) == report_from_ious(np.array(inters), np.array(unions))
+
+    def test_chunk_with_mixed_image_shapes_rejected(self):
+        gt = np.zeros((8, 8), dtype=np.uint8)
+        samples = [_sample("a", gt), _sample("a", gt), _sample("a", np.zeros((16, 16), dtype=np.uint8))]
+        with pytest.raises(DimensionError, match="sample 2"):
+            evaluate(_StubModel({"a": np.zeros((4, 4))}), samples)
 
     def test_threshold_keys_exact(self):
         report = report_from_ious(np.array([1]), np.array([2]))

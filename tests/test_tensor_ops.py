@@ -11,6 +11,8 @@ from refseg.errors import DimensionError, PrecisionError
 from refseg.gradcheck import grad_check
 from refseg.nn import ParamStore
 
+import composite_ops as ops
+
 
 def param(store, name, arr):
     return store.parameter(name, arr.shape, lambda r, s, d: np.asarray(arr, dtype=d))
@@ -356,7 +358,7 @@ def test_composite_ops_gradcheck(shape, rng):
     def f():
         y = ad.relu(x.value)
         y = ad.mul(ad.softmax(y, axis=-1), proj)
-        return ad.tsum(ad.exp(ad.mulc(y, 0.1)))
+        return ad.tsum(ops.exp(ad.mulc(y, 0.1)))
 
     assert grad_check(f, [x]) < 1e-4
 
@@ -368,9 +370,9 @@ def test_composite_ops_gradcheck(shape, rng):
 def composed_layer_norm(x, gamma, beta, eps):
     """LayerNorm as a chain of primitive taped ops."""
     mu = ad.tmean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
+    xc = ops.sub(x, mu)
     var = ad.tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ad.powc(ad.addc(var, eps), -0.5)
+    inv = ops.powc(ops.addc(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(xc, inv), gamma), beta)
 
 
