@@ -176,6 +176,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum-reduce a broadcast gradient back down to the operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -246,7 +248,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
     def bw(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0).astype(g.dtype))
 
     _record(out, bw, a)
     return out
@@ -270,7 +272,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     """Permute axes; by default swap the last two (a batched matrix
     transpose)."""
     ax = tuple(axes) if axes is not None else (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
-    inv = tuple(np.argsort(ax))
+    inv = tuple(sorted(range(len(ax)), key=ax.__getitem__))
     out = Tensor(a.data.transpose(ax))
 
     def bw(g):
@@ -384,8 +386,9 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     m = np.max(a.data, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise NumericalError("softmax: a slice is fully masked or non-finite")
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = np.subtract(a.data, m)
+    np.exp(y, out=y)
+    np.divide(y, y.sum(axis=axis, keepdims=True), out=y)
     out = Tensor(y)
 
     def bw(g):
@@ -448,10 +451,18 @@ def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     """(..., H, W, C) -> (..., H*W, k*k*C) patch matrix, stride 1."""
     *lead, h, w, c = x.shape
-    n = len(lead)
-    win = np.lib.stride_tricks.sliding_window_view(_pad_spatial(x, pad), (k, k), axis=(n, n + 1))
-    # win: (..., H, W, C, k, k) -> (..., H, W, k, k, C) -> (..., H*W, k*k*C)
-    win = win.transpose(*range(n + 2), n + 3, n + 4, n + 2)
+    if k == 1:
+        return x.reshape(*lead, h * w, c)
+    xp = _pad_spatial(x, pad)
+    # One read-only strided view already in (..., H, W, k, k, C) order, so
+    # the reshape makes the only copy.  sliding_window_view gives
+    # (..., H, W, C, k, k), which needs a transpose, and its argument checks
+    # take about 20 us a call, as long as the whole copy on an 8x8 map; im2col
+    # runs about 25 times a training step.
+    *lead_st, sy, sx, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (*lead, h, w, k, k, c), (*lead_st, sy, sx, sy, sx, sc), writeable=False
+    )
     return win.reshape(*lead, h * w, k * k * c)
 
 
@@ -651,16 +662,29 @@ def upsample2x(x: Tensor) -> Tensor:
 
 def avgpool2x(x: Tensor) -> Tensor:
     """Mean over non-overlapping 2x2 blocks of an (H, W, C) or (B, H, W, C)
-    map."""
+    map.
+
+    Each block sums as ``((x[0,0] + x[0,1]) + x[1,0]) + x[1,1]`` and is then
+    divided by 4.  With more than one channel that is the order in which
+    numpy's ``mean`` over the two block axes rounds, so the result is
+    bitwise that mean's in either precision; for a one-channel map numpy
+    would sum the pairs ``(x[0,0] + x[0,1]) + (x[1,0] + x[1,1])``."""
     if x.ndim not in (3, 4):
         raise DimensionError(f"avgpool2x: expected (H, W, C) or (B, H, W, C), got {x.shape}")
     *lead, h, w, c = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"avgpool2x: spatial dims must be even, got {x.shape}")
-    out = Tensor(x.data.reshape(*lead, h // 2, 2, w // 2, 2, c).mean(axis=(-4, -2)))
+    q = x.data.reshape(*lead, h // 2, 2, w // 2, 2, c)
+    y = q[..., 0, :, 0, :] + q[..., 0, :, 1, :]
+    y += q[..., 1, :, 0, :]
+    y += q[..., 1, :, 1, :]
+    y /= 4
+    out = Tensor(y)
 
     def bw(g):
-        _accum(x, np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2) * x.data.dtype.type(0.25))
+        gx = np.empty((*lead, h // 2, 2, w // 2, 2, c), dtype=g.dtype)
+        gx[...] = (g * g.dtype.type(0.25))[..., :, None, :, None, :]
+        _accum(x, gx.reshape(x.shape))
 
     _record(out, bw, x)
     return out

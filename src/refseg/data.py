@@ -14,6 +14,7 @@ Expression templates:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -78,11 +79,6 @@ class ShapeSpec:
     cx: float
     cy: float
     size: float
-
-    @property
-    def bounding_radius(self) -> float:
-        # circle: size is the radius; square/triangle vertices reach size*sqrt(2)
-        return self.size if self.kind == "circle" else self.size * np.sqrt(2.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "color": self.color, "cx": self.cx, "cy": self.cy, "size": self.size}
@@ -223,30 +219,35 @@ def _pick(rng: np.random.Generator, seq: Sequence):
 
 
 def _place_shapes(rng: np.random.Generator, grammar: GrammarConfig) -> Optional[list]:
+    # Each ``rng.uniform(a, b)`` is drawn as ``a + (b - a) * rng.random()``:
+    # the same single draw and the same rounding, without its call overhead.
     n = int(rng.integers(grammar.min_shapes, grammar.max_shapes + 1))
     size = grammar.image_size
+    frac_lo = grammar.size_frac_min
+    frac_span = grammar.size_frac_max - frac_lo
     placed: list[ShapeSpec] = []
+    radii: list[float] = []
     for _ in range(n):
-        ok = False
         for _ in range(60):
-            s = float(rng.uniform(grammar.size_frac_min, grammar.size_frac_max) * size)
+            s = (frac_lo + frac_span * rng.random()) * size
             kind = _pick(rng, grammar.shapes)
             color = _pick(rng, grammar.colors)
-            margin = (s * np.sqrt(2.0) if kind != "circle" else s) + 1.0
+            # circle: size is the radius; square/triangle vertices reach size*sqrt(2)
+            radius = s * math.sqrt(2.0) if kind != "circle" else s
+            margin = radius + 1.0
             if 2 * margin >= size:
                 continue
-            cx = float(rng.uniform(margin, size - margin))
-            cy = float(rng.uniform(margin, size - margin))
-            cand = ShapeSpec(kind, color, cx, cy, s)
+            span = (size - margin) - margin
+            cx = margin + span * rng.random()
+            cy = margin + span * rng.random()
             if all(
-                np.hypot(cand.cx - p.cx, cand.cy - p.cy)
-                > cand.bounding_radius + p.bounding_radius + 1.0
-                for p in placed
+                np.hypot(cx - p.cx, cy - p.cy) > radius + r + 1.0
+                for p, r in zip(placed, radii)
             ):
-                placed.append(cand)
-                ok = True
+                placed.append(ShapeSpec(kind, color, cx, cy, s))
+                radii.append(radius)
                 break
-        if not ok:
+        else:
             return None
     return placed
 

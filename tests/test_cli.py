@@ -9,6 +9,8 @@ from refseg.cli import main
 from refseg.config import load_train_config, read_kv_file, train_config_from_dict, write_kv_file
 from refseg.errors import ConfigError
 from refseg.data import default_manifest, grammar_to_pairs, GrammarConfig
+from refseg.autodiff import Tensor
+from refseg.data import load_split
 from refseg.tensor_io import read_tensor
 from refseg.train import load_checkpoint
 
@@ -124,6 +126,31 @@ def test_dump_masks_and_attention(tmp_path, dataset, capsys):
     assert a.shape == (2, 9)
     assert np.abs(a.sum(axis=1) - 1).max() < 1e-6
     assert (attn_dir / "attention.tsv").exists()
+
+
+def test_dump_attention_follows_checkpoint_mode(tmp_path, dataset, capsys):
+    """A no_fvg model's queries never see the vision gate, so its dumped
+    attention is the ungated map."""
+    out = tmp_path / "run"
+    cfg = tiny_config_file(tmp_path, dataset, out, **{"train.mode": "no_fvg", "train.steps": "2"})
+    assert main(["train", "--config", str(cfg)]) == 0
+    ckpt = out / "checkpoint.eavc"
+    attn_dir = tmp_path / "attn"
+    assert main(["dump-attention", "--checkpoint", str(ckpt), "--data", str(dataset),
+                 "--split", "val", "--sample", "1", "--out", str(attn_dir)]) == 0
+    dumped = read_tensor(attn_dir / "attention.eavt")
+
+    train_cfg, state, _ = load_checkpoint(ckpt)
+    assert train_cfg.mode == "no_fvg"
+    model = state.model
+    sample = load_split(dataset, "val")[1]
+    tokens = model.tokenize(sample.expression)
+    feats = model.image_encoder(Tensor(np.asarray(sample.image, dtype=model.dtype)))
+    text = model.text_encoder(tokens)
+    ungated = model.query_gen(feats, text, tokens, use_fvg=False).a.data
+    gated = model.query_gen(feats, text, tokens, use_fvg=True).a.data
+    assert dumped.tobytes() == ungated.tobytes()
+    assert not np.array_equal(dumped, gated)
 
 
 def test_ablate_command(tmp_path, dataset, capsys):

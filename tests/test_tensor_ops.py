@@ -314,6 +314,88 @@ def test_softmax_masked_entries_exactly_zero():
 
 
 # ---------------------------------------------------------------------------
+# bit identity with the straightforward formulations: the ops skip layout
+# work and temporaries, never an operation or a rounding
+
+
+def signed_zero_input(rng, shape, dtype):
+    """Values over six decades with runs of +0 and -0 mixed in."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    x.flat[::7] = 0.0
+    x.flat[::11] = -0.0
+    return x.astype(dtype)
+
+
+def grad_into(op, x, g):
+    """The gradient ``op``'s backward sends to ``x`` when ``g`` flows into
+    its output (tsum and mul pass ``g`` through unchanged)."""
+    t = Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.mul(op(t), Tensor(g)))
+    ad.backward(tape, loss)
+    return t.grad
+
+
+BIT_CASES = [
+    (dtype, shape)
+    for dtype in (np.float32, np.float64)
+    for shape in ((6, 8, 3), (2, 8, 6, 5), (3, 4, 4, 16))
+]
+
+
+@pytest.mark.parametrize("dtype,shape", BIT_CASES)
+def test_avgpool_bitwise_equals_block_mean(dtype, shape, rng):
+    x = signed_zero_input(rng, shape, dtype)
+    *lead, h, w, c = shape
+    ref = x.reshape(*lead, h // 2, 2, w // 2, 2, c).mean(axis=(-4, -2))
+    out = ad.avgpool2x(Tensor(x)).data
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    g = signed_zero_input(rng, ref.shape, dtype)
+    ref_grad = np.repeat(np.repeat(g, 2, axis=-3), 2, axis=-2) * dtype(0.25)
+    assert grad_into(ad.avgpool2x, x, g).tobytes() == ref_grad.tobytes()
+
+
+def test_avgpool_one_channel_sums_in_row_order(rng):
+    x = signed_zero_input(rng, (2, 6, 8, 1), np.float32)
+    q = x.reshape(2, 3, 2, 4, 2, 1)
+    ref = ((q[..., 0, :, 0, :] + q[..., 0, :, 1, :]) + q[..., 1, :, 0, :]) + q[..., 1, :, 1, :]
+    assert ad.avgpool2x(Tensor(x)).data.tobytes() == (ref / np.float32(4)).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dtype,shape", BIT_CASES)
+def test_im2col_bitwise_equals_window_transpose(k, dtype, shape, rng):
+    x = signed_zero_input(rng, shape, dtype)
+    *lead, h, w, c = shape
+    n, pad = len(lead), (k - 1) // 2
+    win = np.lib.stride_tricks.sliding_window_view(ad._pad_spatial(x, pad), (k, k), axis=(n, n + 1))
+    ref = win.transpose(*range(n + 2), n + 3, n + 4, n + 2).reshape(*lead, h * w, k * k * c)
+    cols = ad._im2col(x, k, pad)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("axis", [-1, 0])
+@pytest.mark.parametrize("dtype,shape", BIT_CASES)
+def test_softmax_bitwise_equals_exp_over_sum(axis, dtype, shape, rng):
+    x = signed_zero_input(rng, shape, dtype)
+    x.flat[::13] = -np.inf
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    ref = e / e.sum(axis=axis, keepdims=True)
+    assert ad.softmax(Tensor(x), axis).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype,shape", BIT_CASES)
+def test_relu_backward_bitwise_equals_bool_mask_product(dtype, shape, rng):
+    x = signed_zero_input(rng, shape, dtype)
+    g = signed_zero_input(rng, shape, dtype)
+    ref = g * (x > 0)
+    grad = grad_into(ad.relu, x, g)
+    assert grad.dtype == ref.dtype and grad.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # elementwise
 
 
