@@ -448,17 +448,16 @@ def _pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(..., H, W, C) -> (..., H*W, k*k*C) patch matrix, stride 1."""
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(..., H, W, C) -> (..., H*W, k*k*C) patch matrix, stride 1, odd k,
+    zero padding of (k-1)//2 so that the windows exactly cover the map."""
     *lead, h, w, c = x.shape
-    if k == 1:
-        return x.reshape(*lead, h * w, c)
-    xp = _pad_spatial(x, pad)
+    xp = _pad_spatial(x, (k - 1) // 2)
     # One read-only strided view already in (..., H, W, k, k, C) order, so
-    # the reshape makes the only copy.  sliding_window_view gives
-    # (..., H, W, C, k, k), which needs a transpose, and its argument checks
-    # take about 20 us a call, as long as the whole copy on an 8x8 map; im2col
-    # runs about 25 times a training step.
+    # the reshape makes the only copy (none for k=1 on a contiguous map).
+    # sliding_window_view gives (..., H, W, C, k, k), which needs a
+    # transpose, and its argument checks take about 20 us a call, as long as
+    # the whole copy on an 8x8 map; im2col runs about 25 times a training step.
     *lead_st, sy, sx, sc = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp, (*lead, h, w, k, k, c), (*lead_st, sy, sx, sy, sx, sc), writeable=False
@@ -571,7 +570,7 @@ def conv2d(
     elif accumulate == np.float64:
         ydata = _conv_forward_taps(x.data, kernel.data, bdata, pad)
     else:
-        cols_cache = _im2col(x.data, k, pad)
+        cols_cache = _im2col(x.data, k)
         ydata = cols_cache.reshape(rows + (k * k * cin,)) @ kernel.data.reshape(batch + (k * k * cin, cout))
         if bdata is not None:
             ydata += bdata[..., None, :]
@@ -581,7 +580,7 @@ def conv2d(
     def bw(g):
         gmat = g.reshape(rows + (cout,))
         if kernel.requires_grad:
-            cols = cols_cache if cols_cache is not None else _im2col(x.data, k, pad)
+            cols = cols_cache if cols_cache is not None else _im2col(x.data, k)
             cols = cols.reshape(rows + (k * k * cin,))
             _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
@@ -590,7 +589,7 @@ def conv2d(
             # dx: correlate the output gradient with the spatially flipped kernel,
             # swapping in/out channels; valid because stride is 1 and k is odd.
             kflip = np.swapaxes(kernel.data[..., ::-1, ::-1, :, :], -1, -2)
-            gcols = _im2col(g, k, pad).reshape(rows + (k * k * cout,))
+            gcols = _im2col(g, k).reshape(rows + (k * k * cout,))
             _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape))
 
     _record(out, bw, x, kernel, *(() if bias is None else (bias,)))

@@ -224,7 +224,7 @@ def _cmd_dump_attention(args) -> int:
     tokens = model.tokenize(sample.expression)
     text = model.text_encoder(tokens)
     feats = model.image_encoder(Tensor(np.asarray(sample.image, dtype=model.dtype)))
-    queries = model.query_gen(feats, text, tokens, use_fvg=cfg.mode != "no_fvg")
+    queries = model.generate_queries(feats, text, tokens, cfg.mode)
     write_tensor(out / "attention.eavt", queries.a.data)
     words = [model.vocab.words[i] for i in tokens.ids]
     lines = ["\t".join(["query"] + words)]

@@ -24,7 +24,7 @@ from .encoders import ImageEncoder, TextEncoder, TokenSequence, Vocabulary, toke
 from .errors import ConfigError, DimensionError
 from .neck import FusionNeck
 from .nn import ParamStore
-from .queries import QueryGenerator
+from .queries import QueryGenerator, QuerySet
 
 
 class Model:
@@ -85,7 +85,7 @@ class Model:
         text = self.text_encoder(tokens)
         feats = self.image_encoder(image)
         fused = self.neck(feats, text.f_tg)
-        queries = self.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg"))
+        queries = self.generate_queries(feats, text, tokens, mode)
 
         f_q = queries.f_q
         if query_permutation is not None:
@@ -105,6 +105,11 @@ class Model:
             scores = self.estimator(f_q)
         masks = [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
         return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores))
+
+    def generate_queries(self, feats, text, tokens: TokenSequence, mode: str) -> QuerySet:
+        """The query generator's output as ``mode`` computes it: ``no_fvg``
+        skips the vision gate."""
+        return self.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg"))
 
     def predict_batch(self, images: np.ndarray, expressions: Sequence[str], mode: str = "full") -> np.ndarray:
         """Inference over a (B, H, W, 3) image stack and its B expressions:

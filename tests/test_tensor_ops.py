@@ -371,7 +371,7 @@ def test_im2col_bitwise_equals_window_transpose(k, dtype, shape, rng):
     n, pad = len(lead), (k - 1) // 2
     win = np.lib.stride_tricks.sliding_window_view(ad._pad_spatial(x, pad), (k, k), axis=(n, n + 1))
     ref = win.transpose(*range(n + 2), n + 3, n + 4, n + 2).reshape(*lead, h * w, k * k * c)
-    cols = ad._im2col(x, k, pad)
+    cols = ad._im2col(x, k)
     assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
 
 

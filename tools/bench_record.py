@@ -14,7 +14,10 @@ that criterion 9 reuses) and the line it printed.  Run it from the
 repository root:
 
     python3 tools/bench_record.py                 # writes the next BENCH_<n>.json
-    python3 tools/bench_record.py --seconds 5 --out /tmp/bench.json
+    python3 tools/bench_record.py --out bench.json
+
+Every record uses the same seed and run length, so that each one compares
+with the last.
 
 The record names the git commit it ran on, whether the tree had local
 changes, and a SHA-256 over ``src/`` so that a record made before a commit
@@ -41,6 +44,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (label, --blas-threads, --trace)
 RUNS = (("e2e_blas1", 1, 0), ("e2e_blas2", 2, 0), ("layers_blas1", 1, 1))
+SEED = 0
+SECONDS = 20.0  # timed phase of each benchmark run
 
 
 def parse_benchmark(stdout: str) -> dict:
@@ -72,9 +77,9 @@ def parse_benchmark(stdout: str) -> dict:
     }
 
 
-def run_benchmark(seed: int, seconds: float, blas_threads: int, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace), "--blas-threads", str(blas_threads)]
+def run_benchmark(blas_threads: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace), "--blas-threads", str(blas_threads)]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     record = parse_benchmark(proc.stdout)
@@ -138,8 +143,6 @@ def next_record_path() -> Path:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=20.0, help="timed phase of each benchmark run")
     ap.add_argument("--out", type=Path, help="record path (default: the next free BENCH_<n>.json)")
     args = ap.parse_args(argv)
     out = args.out or next_record_path()
@@ -149,13 +152,13 @@ def main(argv=None) -> int:
         "local_changes": bool(git("status", "--porcelain", "--", "src", "tools", "perfbench")),
         "src_sha256": source_digest(),
         "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "benchmark": {},
     }
     for label, threads, trace in RUNS:
         print(f"bench_record: {label}", file=sys.stderr, flush=True)
-        record["benchmark"][label] = run_benchmark(args.seed, args.seconds, threads, trace)
+        record["benchmark"][label] = run_benchmark(threads, trace)
     print("bench_record: slow tier", file=sys.stderr, flush=True)
     record["slow_tier"] = run_slow_tier()
     record["correct"] = (
