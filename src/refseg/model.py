@@ -33,6 +33,8 @@ class Model:
     stacked by ``TokenSequence.stack``.  Every output then gains a leading
     batch axis, and each sample's outputs equal its own forward pass bit for
     bit (a property of the numpy/BLAS build that tests/test_batching.py pins).
+    The parameters live in one flat arena, ``store.arena``; ``seed=None``
+    draws nothing and leaves them all zero.
 
     ``mode`` selects the segmentation head behavior:
       full          dynamic per-query kernels, score-weighted mask sum
@@ -41,7 +43,7 @@ class Model:
       no_fvg        full head, but word features skip the vision gate
     """
 
-    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> None:
+    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, seed: Optional[int] = 0) -> None:
         dtype = np.float64 if cfg.precision == "double" else np.float32
         self.cfg = cfg
         self.vocab = vocab
@@ -53,6 +55,7 @@ class Model:
         self.decoder = TransformerDecoder(self.store, cfg)
         self.mask_gen = MaskGenerator(self.store, cfg)
         self.estimator = QueryEstimator(self.store, cfg)
+        self.store.pack()
 
     @property
     def dtype(self):

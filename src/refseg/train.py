@@ -11,7 +11,6 @@ sample's mask logits, which is the mean of the per-sample losses.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -24,9 +23,10 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward
 from .config import TrainConfig, train_config_from_dict, train_config_to_dict
 from .encoders import TokenSequence, Vocabulary
-from .errors import CheckpointError, ConfigError, NumericalError, PrecisionError
+from .errors import CheckpointError, ConfigError, NumericalError
 from .metrics import bce_loss, downsample_mask_nearest, evaluate
 from .model import Model
+from .nn import ParamStore, mapped_zeros
 from .tensor_io import write_tensor
 
 CHECKPOINT_MAGIC = b"EAVC"
@@ -39,42 +39,21 @@ def polynomial_lr(base_lr: float, step: int, total_steps: int, power: float) -> 
     return base_lr * (1.0 - frac) ** power
 
 
-ARENA_ALIGN = 16  # every arena slot starts at a multiple of this many elements
 ADAM_CHUNK = 16384  # elements per pass of the in-place update; sizes its two scratch arrays
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-def _mapped_zeros(count: int, dtype) -> np.ndarray:
-    """``count`` zeros in an anonymous memory mapping of their own.
-
-    Unlike a malloc'd array, the mapping never sits in the heap among a train
-    step's temporaries, its pages become resident only when written, and
-    they go back to the OS when the last view of it is freed.  Allocated
-    from the heap instead, the Adam arenas fragmented it: peak RSS of the
-    four-model trend workload rose 4% over per-tensor arrays, against 2%
-    for the mapping.
-    """
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1), **_PRIVATE), dtype, count)
 
 
 class Adam:
-    """Adam over one flat arena per quantity.
+    """Adam over a packed ParamStore's arena.
 
-    The parameters and the moments ``m`` and ``v`` each live in one flat
-    buffer of the parameters' dtype (``flat_params``, ``flat_m``, ``flat_v``;
-    the three and the update's scratch share one memory mapping).  A
-    parameter owns the same slot in all three, starting at a multiple of
-    ``ARENA_ALIGN`` elements, in the order of ``params``.  On construction
-    each ``p.value.data`` is rebound to an equal-valued view of its slot, and
-    ``m[name]`` and ``v[name]`` are views of theirs; rebinding
-    ``p.value.data`` later detaches the parameter from the optimizer.
+    The moments live in two buffers laid out like the arena, ``flat_m`` and
+    ``flat_v``, mapped together with the update's scratch; ``m[name]`` and
+    ``v[name]`` are views of a parameter's slots.
 
-    ``step`` takes the parameters in that order and updates the arena in
-    place, in chunks of ``ADAM_CHUNK`` elements, with two chunk-sized
-    scratch arrays and no allocation.  Each chunk first gathers the
-    gradients of the slots it covers (a ``None`` gradient reads as zeros),
-    then runs ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
+    ``step`` updates the three in place, in chunks of ``ADAM_CHUNK``
+    elements, with two chunk-sized scratch arrays and no allocation.  Each
+    chunk first gathers the gradients of the slots it covers (a ``None``
+    gradient reads as zeros), then runs ``m = m*b1 + (1-b1)*g``,
+    ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps))`` in that op order, so the
     result is bit-identical to the same numpy expression per tensor.
     Hyperparameters are Python floats, so every op runs in the arena's dtype.
@@ -84,24 +63,18 @@ class Adam:
     every step (about 2700 page faults a default-config step).
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, store: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+        if store.arena is None:
+            raise ConfigError("Adam needs a packed ParamStore")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        params = list(params)
-        self._names = [p.name for p in params]
-        dtypes = sorted({p.value.data.dtype.name for p in params})
-        if len(dtypes) > 1:
-            raise PrecisionError(f"Adam needs one parameter dtype, got {', '.join(dtypes)}")
-        dtype = dtypes[0] if dtypes else np.float32
-        offsets, end = [], 0
-        for p in params:
-            offsets.append(end)
-            end += -(-p.value.data.size // ARENA_ALIGN) * ARENA_ALIGN
+        self.store = store
+        params, end = store.parameters(), store.arena.size
         # per chunk, the gradient runs it gathers: (parameter index, first, stop, offset in chunk)
         self._runs = [[] for _ in range(0, end, ADAM_CHUNK)]
-        for i, (p, off) in enumerate(zip(params, offsets)):
+        for i, (p, off) in enumerate(zip(params, store.offsets)):
             lo, hi = off, off + p.value.data.size
             while lo < hi:
                 c, at = divmod(lo, ADAM_CHUNK)
@@ -109,33 +82,22 @@ class Adam:
                 self._runs[c].append((i, lo - off, stop - off, at))
                 lo = stop
         chunk = min(end, ADAM_CHUNK)
-        flat = _mapped_zeros(3 * end + 2 * chunk, dtype)
-        self.flat_params, self.flat_m, self.flat_v = flat[: 3 * end].reshape(3, end)
-        self._scratch = flat[3 * end :].reshape(2, chunk)
+        flat = mapped_zeros(2 * end + 2 * chunk, store.dtype)
+        self.flat_m, self.flat_v = flat[: 2 * end].reshape(2, end)
+        self._scratch = flat[2 * end :].reshape(2, chunk)
+        names = [p.name for p in params]
+        self.m = dict(zip(names, store.slots(self.flat_m)))
+        self.v = dict(zip(names, store.slots(self.flat_v)))
 
-        def views(flat):
-            return [
-                flat[off : off + p.value.data.size].reshape(p.value.data.shape)
-                for p, off in zip(params, offsets)
-            ]
-
-        for p, view in zip(params, views(self.flat_params)):
-            view[...] = p.value.data
-            p.value.data = view
-        self.m = dict(zip(self._names, views(self.flat_m)))
-        self.v = dict(zip(self._names, views(self.flat_v)))
-
-    def step(self, params, lr: float) -> None:
-        if [p.name for p in params] != self._names:
-            raise ConfigError("Adam.step takes the parameters the optimizer was built over, in order")
-        grads = [p.value.grad for p in params]
+    def step(self, lr: float) -> None:
+        grads = [p.value.grad for p in self.store.parameters()]
         self.t += 1
         b1, b2, eps, lr = self.beta1, self.beta2, self.eps, float(lr)
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         g_buf, a_buf = self._scratch
-        flats = (self.flat_params, self.flat_m, self.flat_v)
-        for lo, runs in zip(range(0, self.flat_params.size, ADAM_CHUNK), self._runs):
+        flats = (self.store.arena, self.flat_m, self.flat_v)
+        for lo, runs in zip(range(0, self.flat_m.size, ADAM_CHUNK), self._runs):
             p, m, v = (f[lo : lo + ADAM_CHUNK] for f in flats)
             g, a = g_buf[: p.size], a_buf[: p.size]
             g.fill(0)
@@ -168,7 +130,7 @@ class TrainState:
 
 def init_state(cfg: TrainConfig, vocab: Vocabulary) -> TrainState:
     model = Model(cfg.model, vocab, seed=cfg.seed)
-    opt = Adam(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(model.store, cfg.beta1, cfg.beta2, cfg.adam_eps)
     return TrainState(model=model, optimizer=opt, step=0)
 
 
@@ -239,7 +201,7 @@ def train(
             raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")
         model.zero_grad()
         backward(tape, loss)
-        state.optimizer.step(model.parameters(), lr)
+        state.optimizer.step(lr)
         state.step = step + 1
         if log is not None:
             log(json.dumps({"loss": loss_value, "lr": lr, "step": state.step}, sort_keys=True))
@@ -254,7 +216,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: json header, then the optimizer's three arenas as raw payloads
+# checkpoints: json header, then the parameter, m and v arenas as raw payloads
 
 
 def _param_table(model: Model) -> list:
@@ -277,15 +239,16 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for arena in (opt.flat_params, opt.flat_m, opt.flat_v):
+        for arena in (state.model.store.arena, opt.flat_m, opt.flat_v):
             f.write(memoryview(arena))
 
 
 def load_checkpoint(path):
     """Rebuild (cfg, state, vocab) from a checkpoint file, bit-exactly.
 
-    The state is built with ``init_state``; once the header's parameter
-    table and the file size match it, each arena is read in place."""
+    The model is built with nothing drawn (``seed=None``); once the
+    header's parameter table and the file size match it, each arena is read
+    in place."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(16)
@@ -311,22 +274,20 @@ def load_checkpoint(path):
             if type(count) is not int or count < 0:
                 raise CheckpointError(f"{path}: header {key} must be a non-negative int, got {count!r}")
 
-        state = init_state(cfg, vocab)
-        state.step = step
-        opt = state.optimizer
-        opt.t = adam_t
-
-        expected = _param_table(state.model)
+        model = Model(cfg.model, vocab, seed=None)
+        expected = _param_table(model)
         if params != expected:
             listed = params if isinstance(params, list) else [params]
             got, want = next(
                 (a, b) for a, b in zip_longest(listed, expected, fillvalue="nothing") if a != b
             )
             raise CheckpointError(f"{path}: parameter table lists {got}, this model has {want}")
-        arenas = (opt.flat_params, opt.flat_m, opt.flat_v)
+        opt = Adam(model.store, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        opt.t = adam_t
+        arenas = (model.store.arena, opt.flat_m, opt.flat_v)
         want_size = 16 + header_len + sum(a.nbytes for a in arenas)
         if size != want_size:
             raise CheckpointError(f"{path}: {size} bytes, expected {want_size}")
         for arena in arenas:
             f.readinto(memoryview(arena))
-    return cfg, state, vocab
+    return cfg, TrainState(model=model, optimizer=opt, step=step), vocab

@@ -148,8 +148,8 @@ class TestAttentionMap:
         tokens = tokenize("red circle on the left", vocab, tiny_cfg.max_tokens)
         # construct: identity-ish projections so the dominant word's logit
         # provably exceeds every other word's
-        gen.w_a.value.data = np.eye(tiny_cfg.fusion_width)
-        gen.w_vd.value.data = np.full((tiny_cfg.num_tokens, tiny_cfg.fusion_width), 0.1)
+        gen.w_a.value.data[...] = np.eye(tiny_cfg.fusion_width)
+        gen.w_vd.value.data[...] = np.full((tiny_cfg.num_tokens, tiny_cfg.fusion_width), 0.1)
         f_vd = Tensor(np.abs(rng.standard_normal((tiny_cfg.num_queries, tiny_cfg.num_tokens))))
         f_tv_arr = np.abs(0.01 * rng.standard_normal((tiny_cfg.max_tokens, tiny_cfg.fusion_width)))
         f_tv_arr[3] = 50.0  # word "on"

@@ -12,17 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refseg.aligner
+import refseg.encoders
+import refseg.neck
+import refseg.nn
+import refseg.queries
 import refseg.train as train_module
-from refseg.autodiff import Tensor
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
-from refseg.errors import CheckpointError, ConfigError, NumericalError, PrecisionError, RefsegError
+from refseg.errors import CheckpointError, ConfigError, NumericalError, RefsegError
 from refseg.model import Model
-from refseg.nn import normal_init
+from refseg.nn import ParamStore, zeros_init
 from refseg.train import (
     CHECKPOINT_VERSION,
     Adam,
-    TrainState,
     batch_indices,
     init_state,
     load_checkpoint,
@@ -75,14 +78,22 @@ class TestSchedule:
         assert polynomial_lr(1.0, 150, 100, 0.9) == 0.0
 
 
+def packed_store(*values) -> ParamStore:
+    """A packed float64 store with one parameter p0, p1, ... per value."""
+    store = ParamStore(dtype=np.float64)
+    for i, value in enumerate(values):
+        store.parameter(f"p{i}", np.shape(value), lambda rng, shape, dtype, value=value: np.array(value, dtype))
+    store.pack()
+    return store
+
+
 class TestAdam:
     def test_single_step_matches_hand_formula(self):
-        from refseg.autodiff import Parameter
-
-        p = Parameter("w", Tensor(np.array([1.0, 2.0])))
+        store = packed_store([1.0, 2.0])
+        p = store.get("p0")
         p.value.grad = np.array([0.5, -1.0])
-        opt = Adam([p], beta1=0.9, beta2=0.999, eps=1e-8)
-        opt.step([p], lr=0.1)
+        opt = Adam(store, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt.step(lr=0.1)
         g = np.array([0.5, -1.0])
         m = 0.1 * g
         v = 0.001 * g * g
@@ -90,36 +101,42 @@ class TestAdam:
         assert np.allclose(p.value.data, expected)
 
     def test_zero_gradient_is_noop(self):
-        from refseg.autodiff import Parameter
+        store = packed_store([3.0])
+        Adam(store).step(lr=0.1)
+        assert store.get("p0").value.data[0] == pytest.approx(3.0)
 
-        p = Parameter("w", Tensor(np.array([3.0])))
-        opt = Adam([p])
-        opt.step([p], lr=0.1)
-        assert p.value.data[0] == pytest.approx(3.0)
-
-    def test_mixed_dtypes_rejected(self):
-        from refseg.autodiff import Parameter
-
-        params = [Parameter("a", Tensor(np.zeros(2, np.float32))), Parameter("b", Tensor(np.zeros(2)))]
-        with pytest.raises(PrecisionError):
-            Adam(params)
-
-    def test_step_over_other_parameters_rejected(self):
-        from refseg.autodiff import Parameter
-
-        a, b = Parameter("a", Tensor(np.zeros(2))), Parameter("b", Tensor(np.zeros(2)))
-        opt = Adam([a, b])
-        for params in ([a], [b, a], [a, Parameter("c", Tensor(np.zeros(2)))]):
-            with pytest.raises(ConfigError):
-                opt.step(params, lr=0.1)
+    def test_unpacked_store_rejected(self):
+        store = ParamStore(dtype=np.float64)
+        store.parameter("w", (2,), zeros_init)
+        with pytest.raises(ConfigError):
+            Adam(store)
 
 
-def state_with_unreached_parameter(cfg, vocab) -> TrainState:
-    """A model plus one parameter that no forward pass reads, under Adam."""
-    model = Model(cfg.model, vocab, seed=cfg.seed)
-    model.store.parameter("unreached", (5,), normal_init(1.0))
-    opt = Adam(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return TrainState(model=model, optimizer=opt, step=0)
+class TestParamStore:
+    def test_parameter_after_pack_rejected(self, tiny_data):
+        vocab, _ = tiny_data
+        model = Model(small_train_cfg().model, vocab)
+        with pytest.raises(ConfigError):
+            model.store.parameter("late", (2,), zeros_init)
+        with pytest.raises(ConfigError):
+            packed_store([1.0]).parameter("late", (2,), zeros_init)
+
+    def test_init_state_leaves_parameters_in_the_arena(self, tiny_data, monkeypatch):
+        # Adam neither copies nor rebinds: each value is the arena view the
+        # model was built with
+        before = {}
+
+        def adam(store, *args):
+            before.update({p.name: p.value.data for p in store.parameters()})
+            return Adam(store, *args)
+
+        monkeypatch.setattr(train_module, "Adam", adam)
+        state = init_state(small_train_cfg(), tiny_data[0])
+        arena = state.model.store.arena
+        assert before
+        for p in state.model.parameters():
+            assert p.value.data is before[p.name], p.name
+            assert np.shares_memory(p.value.data, arena), p.name
 
 
 class TestAdamArena:
@@ -129,7 +146,7 @@ class TestAdamArena:
         monkeypatch.setattr(train_module, "ADAM_CHUNK", chunk)
         vocab, samples = tiny_data
         cfg = small_train_cfg(model=dataclasses.replace(small_train_cfg().model, precision=precision), steps=5)
-        state = state_with_unreached_parameter(cfg, vocab)
+        state = init_state(cfg, vocab)
         params = state.model.parameters()
         ref_p = {p.name: p.value.data.copy() for p in params}
         ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
@@ -146,7 +163,8 @@ class TestAdamArena:
                 v += (1.0 - b2) * g * g
                 update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
                 ref_p[p.name] -= np.asarray(lr * update, dtype=p.value.data.dtype)
-        assert not np.any(state.model.store.get("unreached").gradient)
+        # the fixed-kernel head is unreached in full mode: its None gradient reads as zeros
+        assert state.model.store.get("aligner.fixed.kernel").value.grad is None
         for p in params:
             assert p.value.data.tobytes() == ref_p[p.name].tobytes(), p.name
             assert state.optimizer.m[p.name].tobytes() == ref_m[p.name].tobytes(), p.name
@@ -155,11 +173,11 @@ class TestAdamArena:
     def test_parameters_and_moments_are_arena_views(self, tiny_data):
         vocab, samples = tiny_data
         cfg = small_train_cfg(steps=1)
-        state = state_with_unreached_parameter(cfg, vocab)
+        state = init_state(cfg, vocab)
         train(cfg, state, samples)
         opt = state.optimizer
         for p in state.model.parameters():
-            assert np.shares_memory(p.value.data, opt.flat_params), p.name
+            assert np.shares_memory(p.value.data, state.model.store.arena), p.name
             assert np.shares_memory(opt.m[p.name], opt.flat_m), p.name
             assert np.shares_memory(opt.v[p.name], opt.flat_v), p.name
 
@@ -167,13 +185,13 @@ class TestAdamArena:
         # default config, 493k parameters: a full-size float32 temporary is 1.9 MB
         cfg = TrainConfig()
         state = init_state(cfg, vocabulary_for(GrammarConfig()))
-        opt, params = state.optimizer, state.model.parameters()
-        for p in params:
+        opt = state.optimizer
+        for p in state.model.parameters():
             p.value.grad = np.full_like(p.value.data, 1e-3)
-        opt.step(params, 1e-3)
+        opt.step(1e-3)
         tracemalloc.start()
         try:
-            opt.step(params, 1e-3)
+            opt.step(1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -298,6 +316,33 @@ class TestCheckpoint:
         losses_b = []
         train(cfg_b, resumed, samples, log=lambda l: losses_b.append(l))
         assert losses_a[3:] == losses_b
+
+    def test_load_draws_nothing(self, tiny_data, tmp_path, monkeypatch):
+        vocab, samples = tiny_data
+        cfg = small_train_cfg(steps=2)
+        state = init_state(cfg, vocab)
+        train(cfg, state, samples)
+        path = tmp_path / "d.eavc"
+        save_checkpoint(path, cfg, state)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a parameter")
+
+        for module in (refseg.nn, refseg.encoders, refseg.neck, refseg.queries, refseg.aligner):
+            for name in ("linear_init", "scaled_init", "conv_init", "normal_init"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, **kwargs: refuse)
+            for name in ("zeros_init", "ones_init", "_near_channel_average"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(refseg.nn.np.random, "default_rng", refuse)
+        _, loaded, _ = load_checkpoint(path)
+
+        assert (loaded.step, loaded.optimizer.t) == (state.step, state.optimizer.t)
+        for a, b in zip(state.model.parameters(), loaded.model.parameters()):
+            assert a.name == b.name and a.value.data.tobytes() == b.value.data.tobytes(), a.name
+        assert state.optimizer.flat_m.tobytes() == loaded.optimizer.flat_m.tobytes()
+        assert state.optimizer.flat_v.tobytes() == loaded.optimizer.flat_v.tobytes()
 
     def test_truncated_file_rejected(self, tiny_data, tmp_path):
         vocab, samples = tiny_data
