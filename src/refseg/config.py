@@ -6,7 +6,8 @@ Config files are diff-friendly text: one ``section.key=value`` per line,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -103,16 +104,22 @@ class TrainConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.steps <= 0:
             raise ConfigError(f"steps must be positive, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.decay_power >= 0:  # NaN included
+            raise ConfigError(f"decay_power must be non-negative, got {self.decay_power}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode {self.mode!r} not one of {TRAIN_MODES}")
         if self.total_steps is None:
             self.total_steps = self.steps
+        if self.total_steps < 1:
+            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +128,18 @@ class TrainConfig:
 
 def parse_kv_text(text: str) -> dict:
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 
@@ -141,34 +152,29 @@ def write_kv_file(path, pairs: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_MODEL_KEYS = {
-    "image_size": int,
-    "fusion_width": int,
-    "text_global_width": int,
-    "num_queries": int,
-    "max_tokens": int,
-    "heads": int,
-    "text_layers": int,
-    "decoder_layers": int,
-    "precision": str,
-    "backbone_channels": lambda v: tuple(int(c) for c in v.split(",")),
-}
+def _cast(default):
+    """The reader for a field with this default: a tuple is a comma list of
+    its items' type, and ``None`` (``total_steps``) is an int."""
+    if isinstance(default, tuple):
+        item = _cast(default[0])
+        return lambda v: tuple(item(c) for c in v.split(","))
+    return int if default is None else type(default)
 
-_TRAIN_KEYS = {
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "decay_power": float,
-    "total_steps": int,
-    "steps": int,
-    "batch_size": int,
-    "seed": int,
-    "mode": str,
-    "eval_every": int,
-    "data_root": str,
-    "out_dir": str,
-}
+
+def field_casts(cls) -> dict:
+    """{name: reader} for each field of the dataclass ``cls`` that has a
+    plain default; a nested config (a ``default_factory``) is its own section."""
+    return {f.name: _cast(f.default) for f in fields(cls) if f.default is not MISSING}
+
+
+def field_pairs(obj, prefix: str) -> dict:
+    """{prefix + name: text} for each field ``field_casts`` reads, in field
+    order; a tuple is written as a comma list."""
+    out = {}
+    for k in field_casts(type(obj)):
+        v = getattr(obj, k)
+        out[prefix + k] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+    return out
 
 
 def section_kwargs(pairs: dict, prefix: str, keys: dict) -> dict:
@@ -189,23 +195,17 @@ def train_config_from_dict(pairs: dict) -> TrainConfig:
     """Build a TrainConfig from ``model.*`` and ``train.*`` pairs.  A key
     that is not read, such as a misspelt one, is an error rather than a
     silent default."""
-    known = {f"model.{k}" for k in _MODEL_KEYS} | {f"train.{k}" for k in _TRAIN_KEYS}
+    model_keys, train_keys = field_casts(ModelConfig), field_casts(TrainConfig)
+    known = {f"model.{k}" for k in model_keys} | {f"train.{k}" for k in train_keys}
     unknown = sorted(set(pairs) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    model = ModelConfig(**section_kwargs(pairs, "model.", _MODEL_KEYS))
-    return TrainConfig(model=model, **section_kwargs(pairs, "train.", _TRAIN_KEYS))
+    model = ModelConfig(**section_kwargs(pairs, "model.", model_keys))
+    return TrainConfig(model=model, **section_kwargs(pairs, "train.", train_keys))
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
-    pairs = {}
-    m = asdict(cfg.model)
-    m["backbone_channels"] = ",".join(str(c) for c in cfg.model.backbone_channels)
-    for k, v in m.items():
-        pairs[f"model.{k}"] = str(v)
-    for k in _TRAIN_KEYS:
-        pairs[f"train.{k}"] = str(getattr(cfg, k))
-    return pairs
+    return {**field_pairs(cfg.model, "model."), **field_pairs(cfg, "train.")}
 
 
 def load_train_config(path) -> TrainConfig:

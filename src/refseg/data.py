@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import section_kwargs, write_kv_file
+from .config import field_casts, field_pairs, section_kwargs, write_kv_file
 from .encoders import Vocabulary
 from .errors import ConfigError, GenerationError
 from .tensor_io import read_pgm, read_ppm, write_pgm, write_ppm
@@ -324,37 +324,16 @@ def vocabulary_for(grammar: GrammarConfig) -> Vocabulary:
 
 
 def grammar_to_pairs(grammar: GrammarConfig) -> dict:
-    return {
-        "format": "1",
-        "image_size": str(grammar.image_size),
-        "grammar.colors": ",".join(grammar.colors),
-        "grammar.shapes": ",".join(grammar.shapes),
-        "grammar.min_shapes": str(grammar.min_shapes),
-        "grammar.max_shapes": str(grammar.max_shapes),
-        "grammar.size_frac_min": repr(grammar.size_frac_min),
-        "grammar.size_frac_max": repr(grammar.size_frac_max),
-        "grammar.templates": ",".join(grammar.templates),
-    }
-
-
-def _words(value: str) -> tuple:
-    return tuple(value.split(","))
-
-
-_GRAMMAR_KEYS = {
-    "min_shapes": int,
-    "max_shapes": int,
-    "size_frac_min": float,
-    "size_frac_max": float,
-    "colors": _words,
-    "shapes": _words,
-    "templates": _words,
-}
+    """Manifest pairs for ``grammar``: ``image_size`` is unprefixed, every
+    other field is ``grammar.<name>``."""
+    pairs = field_pairs(grammar, "grammar.")
+    return {"format": "1", "image_size": pairs.pop("grammar.image_size"), **pairs}
 
 
 def grammar_from_pairs(pairs: dict) -> GrammarConfig:
-    kwargs = section_kwargs(pairs, "", {"image_size": int})
-    kwargs.update(section_kwargs(pairs, "grammar.", _GRAMMAR_KEYS))
+    keys = field_casts(GrammarConfig)
+    kwargs = section_kwargs(pairs, "", {"image_size": keys.pop("image_size")})
+    kwargs.update(section_kwargs(pairs, "grammar.", keys))
     return GrammarConfig(**kwargs)
 
 

@@ -82,18 +82,15 @@ class Vocabulary:
 @dataclass
 class TokenSequence:
     """Fixed-length id sequence: [SOS] words [EOS] then padding.  A batch
-    stacks B sequences: ``ids`` (B, L) and one length and [EOS] position
-    per sample."""
+    stacks B sequences: ``ids`` (B, L) and one [EOS] position per sample."""
 
     ids: np.ndarray
-    true_length: int | np.ndarray
     eos_position: int | np.ndarray
 
     @classmethod
     def stack(cls, seqs: Sequence["TokenSequence"]) -> "TokenSequence":
         return cls(
             ids=np.stack([s.ids for s in seqs]),
-            true_length=np.array([s.true_length for s in seqs]),
             eos_position=np.array([s.eos_position for s in seqs]),
         )
 
@@ -113,7 +110,7 @@ def tokenize(expression: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
     ids[1 : 1 + len(word_ids)] = word_ids
     eos_position = 1 + len(word_ids)
     ids[eos_position] = vocab.eos_id
-    return TokenSequence(ids=ids, true_length=eos_position + 1, eos_position=eos_position)
+    return TokenSequence(ids=ids, eos_position=eos_position)
 
 
 def pad_key_bias(tokens: TokenSequence, l_max: int, dtype) -> np.ndarray:

@@ -133,13 +133,14 @@ def linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None, *, rows: int 
 
 
 class LayerNorm:
-    def __init__(self, store: ParamStore, name: str, width: int, eps: float = 1e-5) -> None:
+    EPS = 1e-5
+
+    def __init__(self, store: ParamStore, name: str, width: int) -> None:
         self.gamma = store.parameter(f"{name}.gamma", (width,), ones_init)
         self.beta = store.parameter(f"{name}.beta", (width,), zeros_init)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma.value, self.beta.value, self.eps)
+        return ad.layer_norm(x, self.gamma.value, self.beta.value, self.EPS)
 
 
 class MultiHeadAttention:
@@ -198,8 +199,8 @@ class MultiHeadAttention:
 class FeedForward:
     """Two-layer position-wise MLP with ReLU, hidden width 4x."""
 
-    def __init__(self, store: ParamStore, name: str, width: int, hidden: Optional[int] = None) -> None:
-        hidden = hidden or 4 * width
+    def __init__(self, store: ParamStore, name: str, width: int) -> None:
+        hidden = 4 * width
         self.w1 = store.parameter(f"{name}.w1", (width, hidden), linear_init(width))
         self.b1 = store.parameter(f"{name}.b1", (hidden,), zeros_init)
         self.w2 = store.parameter(f"{name}.w2", (hidden, width), linear_init(hidden))

@@ -27,8 +27,6 @@ def _near_channel_average(rng, shape, dtype):
 class QuerySet:
     f_q: Tensor   # (..., N_q, C) query vectors
     a: Tensor     # (..., N_q, L) word-attention map, rows sum to 1, pads exactly 0
-    f_vd: Tensor  # (..., N_q, S*S) flattened dense vision maps
-    f_tv: Tensor  # (..., L, C) vision-gated word features
 
 
 class QueryGenerator:
@@ -111,4 +109,4 @@ class QueryGenerator:
         f_tv = self.fuse_language_global(text.f_t, feats.f_vg, use_fvg=use_fvg)
         a = self.attention_map(f_vd, f_tv, tokens)
         f_q = self.make_queries(a, f_tv)
-        return QuerySet(f_q=f_q, a=a, f_vd=f_vd, f_tv=f_tv)
+        return QuerySet(f_q=f_q, a=a)

@@ -120,7 +120,7 @@ def test_expressions_fit_vocabulary_and_length():
     for i in range(30):
         s = generate_scene(sample_seed(500, i), grammar)
         seq = tokenize(s.expression, vocab, 17)
-        assert seq.true_length <= 17
+        assert seq.eos_position < 17
 
 
 def test_expression_render_parse_round_trip():

@@ -44,7 +44,6 @@ def test_tokenize_red_circle_lmax17(vocab):
     seq = tokenize("red circle", vocab, 17)
     assert len(seq.ids) == 17
     assert seq.eos_position == 3
-    assert seq.true_length == 4
 
 
 def test_tokenize_truncation_keeps_eos(vocab):

@@ -206,18 +206,31 @@ def load_train_digest():
     return module
 
 
-def test_train_digest_repeats_and_sees_one_ulp():
+def test_train_digest_repeats_and_sees_one_ulp(tmp_path):
     tool = load_train_digest()
     model_cfg = small_train_cfg().model
-    runs = tool.train_runs(model_cfg, steps=1, batch=2)
+    work_a, work_b = tmp_path / "a", tmp_path / "b"
+    work_a.mkdir()
+    work_b.mkdir()
+    runs = tool.train_runs(model_cfg, steps=1, batch=2, work=work_a)
     first = tool.digest(runs)
-    assert tool.digest(tool.train_runs(model_cfg, steps=1, batch=2)) == first
+    assert tool.digest(tool.train_runs(model_cfg, steps=1, batch=2, work=work_b)) == first
     for state in runs[0][1]:  # the live state, then the one loaded from its checkpoint
         w = state.model.parameters()[0].value.data.reshape(-1)
         w[0] = np.nextafter(w[0], np.inf)
         assert tool.digest(runs) != first
         w[0] = np.nextafter(w[0], -np.inf)
         assert tool.digest(runs) == first
+    # the second line covers every checkpoint byte, header included
+    first_files = tool.checkpoint_digest(work_a)
+    assert tool.checkpoint_digest(work_b) == first_files
+    path = work_b / f"{tool.TRAIN_MODES[-1]}.eavc"
+    original = path.read_bytes()
+    for at in (20, len(original) - 1):  # a header byte, the last arena byte
+        path.write_bytes(original[:at] + bytes([original[at] ^ 1]) + original[at + 1 :])
+        assert tool.checkpoint_digest(work_b) != first_files
+    path.write_bytes(original)
+    assert tool.checkpoint_digest(work_b) == first_files
 
 
 def test_batch_indices_deterministic_and_shuffled():
