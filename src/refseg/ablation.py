@@ -4,7 +4,6 @@ and data order and tabulate their evaluation metrics."""
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,8 +16,6 @@ from .train import init_state, train
 
 
 def variant_label(overrides: dict) -> str:
-    if "label" in overrides:
-        return overrides["label"]
     parts = []
     if "mode" in overrides:
         parts.append(overrides["mode"])
@@ -31,7 +28,7 @@ def apply_overrides(base: TrainConfig, overrides: dict, seed: int) -> TrainConfi
     cfg = dataclasses.replace(base, seed=seed)
     if "mode" in overrides:
         cfg = dataclasses.replace(cfg, mode=overrides["mode"])
-    model_over = {k: v for k, v in overrides.items() if k not in ("mode", "label")}
+    model_over = {k: v for k, v in overrides.items() if k != "mode"}
     if model_over:
         cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **model_over))
     return cfg
@@ -40,7 +37,6 @@ def apply_overrides(base: TrainConfig, overrides: dict, seed: int) -> TrainConfi
 @dataclass
 class VariantResult:
     label: str
-    overrides: dict
     seeds: list
     reports: list  # EvalReport per seed
 
@@ -103,7 +99,6 @@ def run_ablation(
     vocab: Vocabulary,
     train_samples: list,
     eval_samples: Optional[list] = None,
-    log=None,
 ) -> AblationReport:
     """Train every variant with the same seed set and identical data order;
     evaluate each trained model (on the training set unless a separate
@@ -117,13 +112,6 @@ def run_ablation(
             cfg = apply_overrides(base_cfg, overrides, seed)
             state = init_state(cfg, vocab)
             train(cfg, state, train_samples)
-            report = evaluate(state.model, eval_set, mode=cfg.mode)
-            reports.append(report)
-            if log is not None:
-                rec = {"variant": label, "seed": seed}
-                rec.update(report.to_dict())
-                log(json.dumps(rec, sort_keys=True))
-        results.append(
-            VariantResult(label=label, overrides=dict(overrides), seeds=list(seeds), reports=reports)
-        )
+            reports.append(evaluate(state.model, eval_set, mode=cfg.mode))
+        results.append(VariantResult(label=label, seeds=list(seeds), reports=reports))
     return AblationReport(results=results)

@@ -93,6 +93,7 @@ class MaskBundle:
     masks: list        # N_q mask logit maps, each (..., 4S, 4S)
     scores: Tensor     # (..., N_q) mask weights
     y: Tensor          # (..., 4S, 4S) aggregated logit map
+    attention: Tensor  # (..., N_q, L) word-attention map the queries were made from
 
 
 class MaskGenerator:

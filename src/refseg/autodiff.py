@@ -36,6 +36,7 @@ broadcast operands are sum-reduced back to their shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -596,19 +597,13 @@ def conv2d(
     return out
 
 
-_RESIZE_CACHE: dict = {}
-
-
+@functools.lru_cache
 def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic bilinear interpolation matrix, corners not aligned.
 
     Output sample i reads source coordinate (i + 0.5) * n_in / n_out - 0.5
     with edge clamping, the standard convention for segmentation decoders.
     """
-    key = (n_in, n_out, np.dtype(dtype).name)
-    m = _RESIZE_CACHE.get(key)
-    if m is not None:
-        return m
     m = np.zeros((n_out, n_in), dtype=dtype)
     for i in range(n_out):
         s = (i + 0.5) * n_in / n_out - 0.5
@@ -618,7 +613,6 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
         hi = min(max(i0 + 1, 0), n_in - 1)
         m[i, lo] += 1.0 - frac
         m[i, hi] += frac
-    _RESIZE_CACHE[key] = m
     return m
 
 

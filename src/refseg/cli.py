@@ -174,40 +174,36 @@ def _cmd_ablate(args) -> int:
     if args.queries:
         variants += [{"num_queries": int(q)} for q in args.queries.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = []
-    report = run_ablation(
-        cfg, variants, seeds, vocab, train_samples,
-        eval_samples=val_samples, log=records.append,
-    )
+    report = run_ablation(cfg, variants, seeds, vocab, train_samples, eval_samples=val_samples)
     print(report.to_text_table())
     if args.out:
-        Path(args.out).write_text(
-            "\n".join(records + [json.dumps(r, sort_keys=True) for r in report.to_records()]) + "\n"
-        )
+        Path(args.out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in report.to_records()))
     return EXIT_OK
 
 
-def _load_sample_model(args):
+def _sample_forward(args):
+    """Both dumps' prelude: load the checkpoint, pick the sample and run one
+    forward, in ``--mode`` (dump-masks) or else the checkpoint's mode."""
     cfg, state, _ = load_checkpoint(args.checkpoint)
     samples = load_split(args.data, args.split)
     if not 0 <= args.sample < len(samples):
         raise ConfigError(f"sample index {args.sample} out of range (0..{len(samples) - 1})")
-    return cfg, state.model, samples[args.sample]
+    model, sample = state.model, samples[args.sample]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    tokens = model.tokenize(sample.expression)
+    image = Tensor(np.asarray(sample.image, dtype=model.dtype))
+    bundle = model.forward(image, tokens, mode=getattr(args, "mode", None) or cfg.mode)
+    return model, sample, tokens, bundle, out
 
 
 def _cmd_dump_masks(args) -> int:
-    cfg, model, sample = _load_sample_model(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    image = np.asarray(sample.image, dtype=model.dtype)
-    bundle = model.forward(Tensor(image), model.tokenize(sample.expression), mode=args.mode or cfg.mode)
-    for n, mask in enumerate(bundle.masks):
-        prob = 1.0 / (1.0 + np.exp(-mask.data.astype(np.float64)))
-        write_pgm(out / f"mask{n}.pgm", prob)
-        write_tensor(out / f"mask{n}.eavt", mask.data)
-    yprob = 1.0 / (1.0 + np.exp(-bundle.y.data.astype(np.float64)))
-    write_pgm(out / "y.pgm", yprob)
-    write_tensor(out / "y.eavt", bundle.y.data)
+    _, sample, _, bundle, out = _sample_forward(args)
+    logits = {f"mask{n}": mask.data for n, mask in enumerate(bundle.masks)}
+    logits["y"] = bundle.y.data
+    for name, z in logits.items():
+        write_pgm(out / f"{name}.pgm", 1.0 / (1.0 + np.exp(-z.astype(np.float64))))
+        write_tensor(out / f"{name}.eavt", z)
     pred = predict_binary_mask(bundle.y.data, sample.gt_mask.shape)
     write_pgm(out / "pred_binary.pgm", pred.astype(np.float64))
     (out / "scores.json").write_text(
@@ -218,18 +214,13 @@ def _cmd_dump_masks(args) -> int:
 
 
 def _cmd_dump_attention(args) -> int:
-    cfg, model, sample = _load_sample_model(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tokens = model.tokenize(sample.expression)
-    text = model.text_encoder(tokens)
-    feats = model.image_encoder(Tensor(np.asarray(sample.image, dtype=model.dtype)))
-    queries = model.generate_queries(feats, text, tokens, cfg.mode)
-    write_tensor(out / "attention.eavt", queries.a.data)
+    model, sample, tokens, bundle, out = _sample_forward(args)
+    a = bundle.attention.data
+    write_tensor(out / "attention.eavt", a)
     words = [model.vocab.words[i] for i in tokens.ids]
     lines = ["\t".join(["query"] + words)]
-    for n in range(queries.a.shape[0]):
-        lines.append("\t".join([str(n)] + [f"{v:.4f}" for v in queries.a.data[n]]))
+    for n in range(a.shape[0]):
+        lines.append("\t".join([str(n)] + [f"{v:.4f}" for v in a[n]]))
     (out / "attention.tsv").write_text("\n".join(lines) + "\n")
     print(json.dumps({"out": str(out), "expression": sample.expression}))
     return EXIT_OK

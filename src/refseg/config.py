@@ -114,6 +114,13 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.decay_power >= 0:  # NaN included
             raise ConfigError(f"decay_power must be non-negative, got {self.decay_power}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:  # NaN included
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode {self.mode!r} not one of {TRAIN_MODES}")
         if self.total_steps is None:

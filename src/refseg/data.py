@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,6 +58,9 @@ class GrammarConfig:
     def __post_init__(self):
         if self.image_size < 1:
             raise ConfigError(f"image_size must be positive, got {self.image_size}")
+        for name in ("colors", "shapes", "templates"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         for c in self.colors:
             if c not in COLOR_TABLE:
                 raise ConfigError(f"unknown color {c!r}")
@@ -163,24 +167,16 @@ def parse_expression(expression: str) -> tuple:
     raise ConfigError(f"unparseable expression {expression!r}")
 
 
-def _on_side(s: ShapeSpec, side: str, h: int, w: int) -> bool:
+def _beyond(s: ShapeSpec, x: float, y: float, side: str) -> bool:
+    """Whether ``s``'s centre lies on ``side`` of the point (x, y): the
+    image centre, or a reference shape's centre."""
     if side == "left":
-        return s.cx < w / 2
+        return s.cx < x
     if side == "right":
-        return s.cx > w / 2
+        return s.cx > x
     if side == "top":
-        return s.cy < h / 2
-    return s.cy > h / 2
-
-
-def _side_of(target: ShapeSpec, ref: ShapeSpec, side: str) -> bool:
-    if side == "left":
-        return target.cx < ref.cx
-    if side == "right":
-        return target.cx > ref.cx
-    if side == "top":
-        return target.cy < ref.cy
-    return target.cy > ref.cy
+        return s.cy < y
+    return s.cy > y
 
 
 def resolve(struct: tuple, shapes: Sequence[ShapeSpec], h: int, w: int) -> list:
@@ -193,7 +189,7 @@ def resolve(struct: tuple, shapes: Sequence[ShapeSpec], h: int, w: int) -> list:
         return [
             i
             for i, s in enumerate(shapes)
-            if s.color == color and s.kind == kind and _on_side(s, side, h, w)
+            if s.color == color and s.kind == kind and _beyond(s, w / 2, h / 2, side)
         ]
     if struct[0] == "relation":
         _, kind, side, ref_color, ref_kind = struct
@@ -204,7 +200,7 @@ def resolve(struct: tuple, shapes: Sequence[ShapeSpec], h: int, w: int) -> list:
         return [
             i
             for i, s in enumerate(shapes)
-            if i != refs[0] and s.kind == kind and _side_of(s, ref, side)
+            if i != refs[0] and s.kind == kind and _beyond(s, ref.cx, ref.cy, side)
         ]
     raise ConfigError(f"unknown template {struct[0]!r}")
 
@@ -264,7 +260,7 @@ def _candidate_expression(
     if template == "attribute":
         return ("attribute", t.color, t.kind)
     if template == "attribute_side":
-        sides = [s for s in SIDES if _on_side(t, s, size, size)]
+        sides = [s for s in SIDES if _beyond(t, size / 2, size / 2, s)]
         if not sides:
             return None
         return ("attribute_side", t.color, t.kind, _pick(rng, sides))
@@ -272,7 +268,7 @@ def _candidate_expression(
     if not others:
         return None
     ref = shapes[_pick(rng, others)]
-    sides = [s for s in SIDES if _side_of(t, ref, s)]
+    sides = [s for s in SIDES if _beyond(t, ref.cx, ref.cy, s)]
     if not sides:
         return None
     return ("relation", t.kind, _pick(rng, sides), ref.color, ref.kind)
@@ -338,29 +334,40 @@ def grammar_from_pairs(pairs: dict) -> GrammarConfig:
 
 
 def split_specs_from_pairs(pairs: dict) -> dict:
-    """{split_name: (seed, count)} from manifest pairs."""
+    """{split_name: (seed, count)} from manifest pairs: every
+    ``split.<name>.seed`` and ``split.<name>.count`` key, each with its pair."""
     specs = {}
     for key in pairs:
-        if key.startswith("split.") and key.endswith(".seed"):
-            prefix = key[: -len("seed")]
-            spec = section_kwargs(pairs, prefix, {"seed": int, "count": int})
-            if "count" not in spec:
-                raise ConfigError(f"manifest has {key} but no {prefix}count")
-            if min(spec.values()) < 0:
-                raise ConfigError(f"{prefix}seed and {prefix}count must be non-negative, got {spec}")
-            specs[prefix[len("split.") : -1]] = (spec["seed"], spec["count"])
+        match = re.fullmatch(r"split\.(.+)\.(seed|count)", key)
+        if match is None or match[1] in specs:
+            continue
+        prefix = f"split.{match[1]}."
+        spec = section_kwargs(pairs, prefix, {"seed": int, "count": int})
+        for k in ("seed", "count"):
+            if k not in spec:
+                raise ConfigError(f"manifest has {key} but no {prefix}{k}")
+        if min(spec.values()) < 0:
+            raise ConfigError(f"{prefix}seed and {prefix}count must be non-negative, got {spec}")
+        specs[match[1]] = (spec["seed"], spec["count"])
     if not specs:
         raise ConfigError("manifest declares no splits")
     return specs
 
 
 def generate_from_manifest(pairs: dict) -> tuple:
-    """(splits dict, grammar, vocabulary) regenerated from manifest pairs."""
+    """(splits dict, grammar, vocabulary) regenerated from manifest pairs.
+    As in config files, a key that nothing reads is an error, and so is a
+    ``format`` other than 1."""
+    if pairs.get("format") != "1":
+        raise ConfigError(f"format: this build reads manifest format 1, got {pairs.get('format')!r}")
+    specs = split_specs_from_pairs(pairs)
+    known = {"format", "image_size", *(f"grammar.{k}" for k in field_casts(GrammarConfig))}
+    known.update(f"split.{name}.{k}" for name in specs for k in ("seed", "count"))
+    unknown = sorted(set(pairs) - known)
+    if unknown:
+        raise ConfigError(f"unknown manifest keys: {', '.join(unknown)}")
     grammar = grammar_from_pairs(pairs)
-    splits = {
-        name: generate_split(seed, count, grammar)
-        for name, (seed, count) in sorted(split_specs_from_pairs(pairs).items())
-    }
+    splits = {name: generate_split(seed, count, grammar) for name, (seed, count) in sorted(specs.items())}
     return splits, grammar, vocabulary_for(grammar)
 
 

@@ -293,7 +293,7 @@ def zero_gradient_parameters(model: Model, f) -> list:
     return sorted(p.name for p in model.parameters() if not np.any(p.gradient))
 
 
-def run_gradient_suite(e2e_sample_per_param: int = 2, include_end_to_end: bool = True):
+def run_gradient_suite(e2e_sample_per_param: int = 2):
     """Run all checks; returns (results, zero_grad_names)."""
     rng = np.random.default_rng(42)
     results = []
@@ -305,11 +305,8 @@ def run_gradient_suite(e2e_sample_per_param: int = 2, include_end_to_end: bool =
         start = time.perf_counter()
         err = grad_check(f, params, eps=eps, sample_per_param=16, rng=np.random.default_rng(3))
         results.append(BlockResult(name, err, time.perf_counter() - start))
-    zero_names: list = []
-    if include_end_to_end:
-        name, f, params, spp, model = end_to_end_check(rng, e2e_sample_per_param)
-        start = time.perf_counter()
-        err = grad_check(f, params, eps=BLOCK_EPS, sample_per_param=spp, rng=np.random.default_rng(1))
-        results.append(BlockResult(name, err, time.perf_counter() - start))
-        zero_names = zero_gradient_parameters(model, f)
-    return results, zero_names
+    name, f, params, spp, model = end_to_end_check(rng, e2e_sample_per_param)
+    start = time.perf_counter()
+    err = grad_check(f, params, eps=BLOCK_EPS, sample_per_param=spp, rng=np.random.default_rng(1))
+    results.append(BlockResult(name, err, time.perf_counter() - start))
+    return results, zero_gradient_parameters(model, f)

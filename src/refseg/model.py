@@ -24,7 +24,7 @@ from .encoders import ImageEncoder, TextEncoder, TokenSequence, Vocabulary, toke
 from .errors import ConfigError, DimensionError
 from .neck import FusionNeck
 from .nn import ParamStore
-from .queries import QueryGenerator, QuerySet
+from .queries import QueryGenerator
 
 
 class Model:
@@ -88,7 +88,7 @@ class Model:
         text = self.text_encoder(tokens)
         feats = self.image_encoder(image)
         fused = self.neck(feats, text.f_tg)
-        queries = self.generate_queries(feats, text, tokens, mode)
+        queries = self.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg"))
 
         f_q = queries.f_q
         if query_permutation is not None:
@@ -99,7 +99,8 @@ class Model:
 
         if mode == "fixed_kernel":
             mask = self.mask_gen.fixed_head(f_p)
-            return MaskBundle(masks=[mask], scores=Tensor(np.ones(lead + (1,), dtype=self.dtype)), y=mask)
+            scores = Tensor(np.ones(lead + (1,), dtype=self.dtype))
+            return MaskBundle(masks=[mask], scores=scores, y=mask, attention=queries.a)
 
         stack = self.mask_gen.masks_from_queries(f_p, f_q)
         if mode == "no_estimator":
@@ -107,12 +108,7 @@ class Model:
         else:
             scores = self.estimator(f_q)
         masks = [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
-        return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores))
-
-    def generate_queries(self, feats, text, tokens: TokenSequence, mode: str) -> QuerySet:
-        """The query generator's output as ``mode`` computes it: ``no_fvg``
-        skips the vision gate."""
-        return self.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg"))
+        return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores), attention=queries.a)
 
     def predict_batch(self, images: np.ndarray, expressions: Sequence[str], mode: str = "full") -> np.ndarray:
         """Inference over a (B, H, W, 3) image stack and its B expressions:

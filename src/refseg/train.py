@@ -10,6 +10,7 @@ sample's mask logits, which is the mean of the per-sample losses.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -134,18 +135,9 @@ def init_state(cfg: TrainConfig, vocab: Vocabulary) -> TrainState:
     return TrainState(model=model, optimizer=opt, step=0)
 
 
-_PERM_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _epoch_permutation(seed: int, n: int, epoch: int) -> np.ndarray:
-    key = (seed, n, epoch)
-    perm = _PERM_CACHE.get(key)
-    if perm is None:
-        perm = np.random.default_rng(np.random.SeedSequence((seed, 7919, epoch))).permutation(n)
-        if len(_PERM_CACHE) > 256:
-            _PERM_CACHE.clear()
-        _PERM_CACHE[key] = perm
-    return perm
+    return np.random.default_rng(np.random.SeedSequence((seed, 7919, epoch))).permutation(n)
 
 
 def batch_indices(seed: int, n: int, batch_size: int, step: int) -> list:
@@ -225,6 +217,9 @@ def _param_table(model: Model) -> list:
 
 
 def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
+    """Write the checkpoint atomically: to a temporary file in the same
+    directory, synced, then renamed onto ``path``, so a save that fails
+    part-way leaves the previous file as it was."""
     opt = state.optimizer
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -235,12 +230,21 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainState) -> None:
         "params": _param_table(state.model),
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for arena in (state.model.store.arena, opt.flat_m, opt.flat_v):
-            f.write(memoryview(arena))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+            f.write(blob)
+            for arena in (state.model.store.arena, opt.flat_m, opt.flat_v):
+                f.write(memoryview(arena))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -14,7 +14,6 @@ def test_variant_labels():
     assert variant_label({"mode": "full"}) == "full"
     assert variant_label({"mode": "fixed_kernel"}) == "fixed_kernel"
     assert variant_label({"num_queries": 4}) == "nq4"
-    assert variant_label({"label": "custom", "mode": "full"}) == "custom"
 
 
 def test_apply_overrides_replaces_mode_and_model():

@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from refseg.cli import main
+from refseg.cli import _COMMANDS, _build_parser, main
 from refseg.config import load_train_config, read_kv_file, train_config_from_dict, write_kv_file
 from refseg.errors import ConfigError
 from refseg.data import default_manifest, grammar_to_pairs, GrammarConfig
@@ -13,6 +15,9 @@ from refseg.autodiff import Tensor
 from refseg.data import load_split
 from refseg.tensor_io import read_tensor
 from refseg.train import load_checkpoint
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_manifest(tmp_path, train_count=4, val_count=2):
@@ -162,8 +167,10 @@ def test_ablate_command(tmp_path, dataset, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert "full" in table and "fixed_kernel" in table
-    lines = records.read_text().splitlines()
+    lines = [json.loads(l) for l in records.read_text().splitlines()]
     assert any("median_mean_iou" in l for l in lines)
+    # one record per (variant, seed), then one median record per variant
+    assert sorted((l["variant"], l["seed"]) for l in lines if "seed" in l) == [("fixed_kernel", 0), ("full", 0)]
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -215,6 +222,9 @@ def test_nonpositive_model_size_rejected(key, value):
         ("grammar.min_shapes", "abc"),
         ("grammar.size_frac_max", "big"),
         ("image_size", "6x"),
+        ("grammar.colour", "red"),
+        ("split.test.count", "5"),
+        ("format", "2"),
     ],
 )
 def test_gen_data_names_the_bad_manifest_key(tmp_path, capsys, key, value):
@@ -254,9 +264,20 @@ def test_numerical_failure_exit_code_2(tmp_path, dataset):
 
 
 def test_gradcheck_stub_blocks_pass():
-    # the full suite is exercised by the acceptance tests; spot-check here
-    from refseg.gradsuite import run_gradient_suite
+    # the full suite is exercised by the acceptance tests; spot-check its
+    # matmul checks here, drawn from the suite's own generator
+    from refseg.gradcheck import grad_check
+    from refseg.gradsuite import _op_checks
 
-    results, _ = run_gradient_suite(include_end_to_end=False)
-    op_results = [r for r in results if r.name.startswith("op.matmul")]
-    assert op_results and all(r.max_rel_err < 1e-6 for r in op_results)
+    checks = [c for c in _op_checks(np.random.default_rng(42)) if c[0].startswith("op.matmul")]
+    assert checks and all(grad_check(f, params) < 1e-6 for _, f, params in checks)
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    words = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [w[1:] for w in words if w[:1] == ["refseg"]]
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a line that does not parse exits with status 1
+    assert {argv[0] for argv in commands} == set(_COMMANDS)

@@ -37,7 +37,8 @@ def _names(pool):
     return st.lists(st.sampled_from(pool), min_size=1, unique=True).map(tuple)
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+beta = st.floats(min_value=0, max_value=1, exclude_max=True)
+positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -62,10 +63,10 @@ def model_configs(draw):
 def train_configs(draw):
     return TrainConfig(
         model=draw(model_configs()),
-        lr=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
-        beta1=draw(finite),
-        beta2=draw(finite),
-        adam_eps=draw(finite),
+        lr=draw(positive),
+        beta1=draw(beta),
+        beta2=draw(beta),
+        adam_eps=draw(positive),
         decay_power=draw(st.floats(min_value=0, allow_infinity=False)),
         total_steps=draw(st.none() | st.integers(1, 10**6)),
         steps=draw(st.integers(1, 10**6)),
@@ -127,14 +128,29 @@ def test_codec_bytes_pinned(tmp_path):
         ("train.seed", "-1"),
         ("train.lr", "nan"),
         ("train.lr", "inf"),
+        ("train.beta1", "1.0"),
+        ("train.beta1", "-0.1"),
+        ("train.beta2", "nan"),
+        ("train.adam_eps", "-1"),
+        ("train.adam_eps", "0"),
+        ("train.adam_eps", "inf"),
+        ("train.eval_every", "-1"),
     ],
 )
 def test_train_value_out_of_range_rejected(key, value):
     # each would pass the constructor and fail later: a ZeroDivisionError in
-    # the schedule, numpy's seed error, or a non-finite softmax
+    # the schedule, numpy's seed error, a non-finite softmax or Adam update,
+    # or (eval_every=-1) an evaluation after every step
     with pytest.raises(ConfigError) as e:
         train_config_from_dict({key: value})
     assert key.split(".")[1] in str(e.value)
+
+
+@pytest.mark.parametrize("name", ["colors", "shapes", "templates"])
+def test_empty_grammar_word_list_rejected(name):
+    # an empty list would only fail later, inside the scene generator's draw
+    with pytest.raises(ConfigError, match=name):
+        GrammarConfig(**{name: ()})
 
 
 def test_repeated_key_rejected():

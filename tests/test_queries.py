@@ -5,8 +5,9 @@ import pytest
 
 from refseg import autodiff as ad
 from refseg.autodiff import Tensor
+from refseg.config import TRAIN_MODES
 from refseg.data import generate_split, vocabulary_for
-from refseg.encoders import TextFeatures, tokenize
+from refseg.encoders import TextFeatures, TokenSequence, tokenize
 from refseg.gradcheck import grad_check
 from refseg.gradsuite import _sparse as sparse_proj
 from refseg.model import Model
@@ -129,6 +130,21 @@ def test_vision_gate_keeps_word_scale_at_init():
         gated = model.query_gen(feats, text, tokens).f_q.data
         plain = model.query_gen(feats, text, tokens, use_fvg=False).f_q.data
         assert 0.5 < rms(gated) / rms(plain) < 2.0
+
+
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_forward_reports_the_attention_its_queries_used(tiny_cfg, tiny_grammar, mode):
+    """``MaskBundle.attention`` is the query generator's map as ``mode``
+    runs it (``no_fvg`` skips the vision gate), byte for byte."""
+    model = Model(tiny_cfg, vocabulary_for(tiny_grammar), seed=0)
+    samples = generate_split(5, 2, tiny_grammar)
+    image = Tensor(np.stack([s.image for s in samples]).astype(model.dtype))
+    tokens = TokenSequence.stack([model.tokenize(s.expression) for s in samples])
+    bundle = model.forward(image, tokens, mode=mode)
+    feats, text = model.image_encoder(image), model.text_encoder(tokens)
+    a = model.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg")).a.data
+    assert a.shape == (2, tiny_cfg.num_queries, tiny_cfg.max_tokens)
+    assert bundle.attention.data.tobytes() == a.tobytes()
 
 
 class TestAttentionMap:

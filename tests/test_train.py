@@ -357,6 +357,25 @@ class TestCheckpoint:
         assert state.optimizer.flat_m.tobytes() == loaded.optimizer.flat_m.tobytes()
         assert state.optimizer.flat_v.tobytes() == loaded.optimizer.flat_v.tobytes()
 
+    def test_failed_save_keeps_previous_file(self, tiny_data, tmp_path):
+        vocab, samples = tiny_data
+        cfg = small_train_cfg(steps=2)
+        state = init_state(cfg, vocab)
+        train(cfg, state, samples, max_step=1)
+        path = tmp_path / "s.eavc"
+        save_checkpoint(path, cfg, state)
+        before = path.read_bytes()
+        train(cfg, state, samples)
+        # the last arena cannot be written: the save fails after the header
+        # and the first two arenas
+        state.optimizer.flat_v = None
+        with pytest.raises(TypeError):
+            save_checkpoint(path, cfg, state)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == before
+        _, loaded, _ = load_checkpoint(path)
+        assert loaded.step == 1
+
     def test_truncated_file_rejected(self, tiny_data, tmp_path):
         vocab, samples = tiny_data
         cfg = small_train_cfg()
