@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .encoders import Vocabulary
+from .errors import ConfigError
 from .metrics import EvalReport, PRECISION_THRESHOLDS, evaluate
 from .train import init_state, train
 
@@ -57,7 +58,7 @@ class AblationReport:
         for r in self.results:
             if r.label == label:
                 return r
-        raise KeyError(label)
+        raise ConfigError(f"no variant {label!r}; the report has {[r.label for r in self.results]}")
 
     def to_records(self) -> list:
         records = []

@@ -167,10 +167,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         fn()
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    # Every grad is exclusively owned: a first arrival adopts g only if the
+    # backward owns it (a fresh result, or a view of the g its node released).
     if t.grad is None:
-        # copy: g is often a view of another tensor's gradient buffer
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = g if owned and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -207,10 +208,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def bw(g):
+        # one g reaches both operands: the first copies it, the last adopts it
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+            _accum(a, _unbroadcast(g, a.shape), owned=not b.requires_grad)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(b, _unbroadcast(g, b.shape), owned=True)
 
     _record(out, bw, a, b)
     return out
@@ -225,9 +227,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     _record(out, bw, a, b)
     return out
@@ -238,7 +240,7 @@ def mulc(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def bw(g):
-        _accum(a, g * c)
+        _accum(a, g * c, owned=True)
 
     _record(out, bw, a)
     return out
@@ -249,7 +251,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
 
     def bw(g):
-        _accum(a, g * (a.data > 0).astype(g.dtype))
+        _accum(a, g * (a.data > 0).astype(g.dtype), owned=True)
 
     _record(out, bw, a)
     return out
@@ -263,7 +265,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def bw(g):
-        _accum(a, g.reshape(a.shape))
+        _accum(a, g.reshape(a.shape), owned=True)
 
     _record(out, bw, a)
     return out
@@ -277,7 +279,7 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     out = Tensor(a.data.transpose(ax))
 
     def bw(g):
-        _accum(a, g.transpose(inv))
+        _accum(a, g.transpose(inv), owned=True)
 
     _record(out, bw, a)
     return out
@@ -339,7 +341,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         # a C-order copy: _accum's np.array would keep the broadcast view's
         # layout, and sums and products over a gradient laid out otherwise
         # round differently
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape).copy(), owned=True)
 
     _record(out, bw, a)
     return out
@@ -370,31 +372,38 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
     def bw(g):
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
+            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0), owned=True)
         if beta.requires_grad:
-            _accum(beta, g.reshape(-1, n).sum(axis=0))
+            _accum(beta, g.reshape(-1, n).sum(axis=0), owned=True)
         if x.requires_grad:
             gx = g * gamma.data
             mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
-            _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)))
+            _accum(x, inv * (gx - mean_gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)), owned=True)
 
     _record(out, bw, x, gamma, beta)
     return out
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Numerically stabilized softmax; -inf entries map to exactly 0."""
-    m = np.max(a.data, axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(x, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise NumericalError("softmax: a slice is fully masked or non-finite")
-    y = np.subtract(a.data, m)
+    y = np.subtract(x, m)
     np.exp(y, out=y)
     np.divide(y, y.sum(axis=axis, keepdims=True), out=y)
-    out = Tensor(y)
+    return y
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def softmax(a: Tensor, axis: int) -> Tensor:
+    """Numerically stabilized softmax; -inf entries map to exactly 0."""
+    out = Tensor(_softmax(a.data, axis))
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        _accum(a, _softmax_grad(out.data, g, axis), owned=True)
 
     _record(out, bw, a)
     return out
@@ -425,15 +434,61 @@ def matmul(a: Tensor, b: Tensor, rows: int = 1) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
             if shared:
-                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]))
+                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, b.shape[1]), owned=True)
             else:
-                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+                _accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
     _record(out, bw, a, b)
     return out
+
+
+def attention(x, kv, wq, bq, wk, wv, bv, wo, bo, heads: int, key_bias=None):
+    """``nn.MultiHeadAttention`` as one tape node; returns the output and the
+    (..., heads, Tq, Tk) weights.  It makes the numpy calls of the chain of
+    taped projections, head splits, scaling and softmax, in that chain's
+    order, so every result is bitwise the chain's."""
+    for t in (kv, wq, bq, wk, wv, bv, wo, bo):
+        _check_same_dtype(x, t, "attention")
+    lead, (tq, c), tk = x.shape[:-2], x.shape[-2:], kv.shape[-2]
+    if kv.shape[:-2] != lead or kv.shape[-1] != c or wq.shape[0] != c:
+        raise DimensionError(f"attention: rows {x.shape} and {kv.shape}, width {wq.shape[0]}")
+    n, d = len(lead), c // heads
+    split = (*range(n), n + 1, n, n + 2)  # swaps the T and heads axes: its own inverse
+    scale = x.data.dtype.type(1.0 / math.sqrt(d))
+    q, k, v = (
+        y.reshape(y.shape[:-1] + (heads, d)).transpose(split)
+        for y in (x.data @ wq.data + bq.data, kv.data @ wk.data, kv.data @ wv.data + bv.data)
+    )
+    logits = (q @ k.swapaxes(-1, -2)) * scale
+    if key_bias is not None:
+        logits = logits + np.asarray(key_bias, dtype=x.data.dtype).reshape(lead + (1, 1, tk))
+    w = _softmax(logits, -1)
+    o = (w @ v).transpose(split).reshape(lead + (tq, c))
+    out = Tensor(o @ wo.data + bo.data)
+
+    def bw(g):
+        gh = (g @ wo.data.T).reshape(lead + (tq, heads, d)).transpose(split)
+        gl = _softmax_grad(w, gh @ np.swapaxes(v, -1, -2), -1) * scale
+        gk = (np.swapaxes(q, -1, -2) @ gl).swapaxes(-1, -2)
+        # in the chain's reverse replay order: kv takes v's gradient before
+        # k's, and x q's last; each projection's bias, input, then weight
+        for inp, wt, bt, gy, into in (
+            (o, wo, bo, g, None), (kv.data, wv, bv, np.swapaxes(w, -1, -2) @ gh, kv),
+            (kv.data, wk, None, gk, kv), (x.data, wq, bq, gl @ k, x),
+        ):
+            gy = gy if into is None else gy.transpose(split).reshape(inp.shape)
+            if bt is not None and bt.requires_grad:
+                _accum(bt, _unbroadcast(gy, bt.shape), owned=True)
+            if into is not None and into.requires_grad:
+                _accum(into, gy @ wt.data.T, owned=True)
+            if wt.requires_grad:
+                _accum(wt, inp.reshape(-1, c).T @ gy.reshape(-1, c), owned=True)
+
+    _record(out, bw, x, kv, wq, bq, wk, wv, bv, wo, bo)
+    return out, w
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +638,15 @@ def conv2d(
         if kernel.requires_grad:
             cols = cols_cache if cols_cache is not None else _im2col(x.data, k)
             cols = cols.reshape(rows + (k * k * cin,))
-            _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape))
+            _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape), owned=True)
         if bias is not None and bias.requires_grad:
-            _accum(bias, gmat.sum(axis=-2))
+            _accum(bias, gmat.sum(axis=-2), owned=True)
         if x.requires_grad:
             # dx: correlate the output gradient with the spatially flipped kernel,
             # swapping in/out channels; valid because stride is 1 and k is odd.
             kflip = np.swapaxes(kernel.data[..., ::-1, ::-1, :, :], -1, -2)
             gcols = _im2col(g, k).reshape(rows + (k * k * cout,))
-            _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape))
+            _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape), owned=True)
 
     _record(out, bw, x, kernel, *(() if bias is None else (bias,)))
     return out
@@ -647,7 +702,7 @@ def upsample2x(x: Tensor) -> Tensor:
     out = Tensor(_apply_separable(x.data, mh, mw))
 
     def bw(g):
-        _accum(x, _apply_separable(g, mh.T, mw.T))
+        _accum(x, _apply_separable(g, mh.T, mw.T), owned=True)
 
     _record(out, bw, x)
     return out
@@ -677,7 +732,7 @@ def avgpool2x(x: Tensor) -> Tensor:
     def bw(g):
         gx = np.empty((*lead, h // 2, 2, w // 2, 2, c), dtype=g.dtype)
         gx[...] = (g * g.dtype.type(0.25))[..., :, None, :, None, :]
-        _accum(x, gx.reshape(x.shape))
+        _accum(x, gx.reshape(x.shape), owned=True)
 
     _record(out, bw, x)
     return out
@@ -698,7 +753,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def bw(g):
         s = 1.0 / (1.0 + np.exp(-x))
-        _accum(logits, (s - t) * (g / x.size))
+        _accum(logits, (s - t) * (g / x.size), owned=True)
 
     _record(out, bw, logits)
     return out

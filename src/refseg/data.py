@@ -395,11 +395,25 @@ def save_dataset(root, splits: dict, grammar: GrammarConfig, manifest: dict) -> 
                 f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+_RECORD_TYPES = {"index": int, "seed": int, "expression": str, "template": str, "target": int, "shapes": list}
+
+
 def load_split(root, name: str) -> list:
+    """A split's samples; a malformed record raises ``ConfigError`` naming its line."""
     sdir = Path(root) / name
     samples = []
-    for line in (sdir / "samples.jsonl").read_text().splitlines():
-        rec = json.loads(line)
+    for lineno, line in enumerate((sdir / "samples.jsonl").read_text().splitlines(), 1):
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys() or any(
+                type(rec[k]) is not t for k, t in _RECORD_TYPES.items()
+            ):
+                raise TypeError("fields must be " + ", ".join(f"{k} ({t.__name__})" for k, t in _RECORD_TYPES.items()))
+            if rec["index"] < 0:
+                raise ValueError(f"negative index {rec['index']}")
+            shapes = [ShapeSpec.from_dict(d) for d in rec["shapes"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{sdir / 'samples.jsonl'} line {lineno}: malformed record: {type(e).__name__}: {e}") from None
         i = rec["index"]
         image = read_ppm(sdir / "images" / f"{i:05d}.ppm")
         gt = (read_pgm(sdir / "masks" / f"{i:05d}.pgm") > 127).astype(np.uint8)
@@ -408,7 +422,7 @@ def load_split(root, name: str) -> list:
                 image=image,
                 expression=rec["expression"],
                 gt_mask=gt,
-                shapes=[ShapeSpec.from_dict(d) for d in rec["shapes"]],
+                shapes=shapes,
                 target_index=rec["target"],
                 expression_struct=parse_expression(rec["expression"]),
                 seed=rec["seed"],

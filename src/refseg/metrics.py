@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 PRECISION_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 # samples stacked into each tape-free forward of ``evaluate``; a fixed size
@@ -89,7 +89,7 @@ def evaluate(model, samples, mode: str = "full") -> EvalReport:
     One ``model.predict_batch`` per chunk of ``EVAL_CHUNK`` samples, whose
     images must share a shape; thresholding and IoU stay per sample."""
     if not samples:
-        raise ValueError("evaluate: empty dataset")
+        raise ConfigError("evaluate: empty dataset")
     inters = np.zeros(len(samples), dtype=np.int64)
     unions = np.zeros(len(samples), dtype=np.int64)
     for lo in range(0, len(samples), EVAL_CHUNK):

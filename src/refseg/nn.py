@@ -177,23 +177,9 @@ class MultiHeadAttention:
         kv: Optional[Tensor] = None,
         key_bias: Optional[np.ndarray] = None,
     ) -> Tensor:
-        src = x if kv is None else kv
-        lead = x.shape[:-2]
-        n = len(lead)
-        tq, tk, h, d = x.shape[-2], src.shape[-2], self.heads, self.head_dim
-        keep = tuple(range(n))
-        # every head at once: (..., heads, T, d) stacks through batched matmuls
-        q = ad.transpose(ad.reshape(linear(x, self.wq, self.bq), lead + (tq, h, d)), keep + (n + 1, n, n + 2))
-        k_t = ad.transpose(ad.reshape(linear(src, self.wk), lead + (tk, h, d)), keep + (n + 1, n + 2, n))
-        v = ad.transpose(ad.reshape(linear(src, self.wv, self.bv), lead + (tk, h, d)), keep + (n + 1, n, n + 2))
-        logits = ad.mulc(ad.matmul(q, k_t), 1.0 / math.sqrt(d))
-        if key_bias is not None:
-            bias = np.asarray(key_bias, dtype=x.data.dtype).reshape(lead + (1, 1, tk))
-            logits = ad.add(logits, Tensor(bias))
-        w = ad.softmax(logits, axis=-1)
-        self.last_weights = w.data
-        heads = ad.transpose(ad.matmul(w, v), keep + (n + 1, n, n + 2))
-        return linear(ad.reshape(heads, lead + (tq, self.width)), self.wo, self.bo)
+        params = (self.wq, self.bq, self.wk, self.wv, self.bv, self.wo, self.bo)
+        out, self.last_weights = ad.attention(x, x if kv is None else kv, *(p.value for p in params), self.heads, key_bias)
+        return out
 
 
 class FeedForward:

@@ -1,12 +1,16 @@
-"""Taped elementwise ops the model does not use, kept for tests that build
-reference compositions (layer norm as a chain of primitive ops, a composite
-gradient check).  They follow ``refseg.autodiff``'s node protocol."""
+"""Taped ops the model does not use, kept for tests that build reference
+compositions (layer norm as a chain of primitive ops, a composite gradient
+check, attention as a chain of taped ops).  They follow
+``refseg.autodiff``'s node protocol."""
+
+import math
 
 import numpy as np
 
 from refseg import autodiff as ad
 from refseg.autodiff import Tensor
 from refseg.errors import DimensionError
+from refseg.nn import linear
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -56,3 +60,25 @@ def powc(a: Tensor, p: float) -> Tensor:
 
     ad._record(out, bw, a)
     return out
+
+
+def taped_attention(attn, x: Tensor, kv: Tensor = None, key_bias=None):
+    """``attn``'s multi-head attention as a chain of taped matmul, add,
+    reshape, transpose, mulc and softmax ops: the reference that
+    ``ad.attention`` must match byte for byte.  Returns the output and the
+    weights."""
+    src = x if kv is None else kv
+    lead = x.shape[:-2]
+    n = len(lead)
+    tq, tk, h, d = x.shape[-2], src.shape[-2], attn.heads, attn.head_dim
+    keep = tuple(range(n))
+    q = ad.transpose(ad.reshape(linear(x, attn.wq, attn.bq), lead + (tq, h, d)), keep + (n + 1, n, n + 2))
+    k_t = ad.transpose(ad.reshape(linear(src, attn.wk), lead + (tk, h, d)), keep + (n + 1, n + 2, n))
+    v = ad.transpose(ad.reshape(linear(src, attn.wv, attn.bv), lead + (tk, h, d)), keep + (n + 1, n, n + 2))
+    logits = ad.mulc(ad.matmul(q, k_t), 1.0 / math.sqrt(d))
+    if key_bias is not None:
+        bias = np.asarray(key_bias, dtype=x.data.dtype).reshape(lead + (1, 1, tk))
+        logits = ad.add(logits, Tensor(bias))
+    w = ad.softmax(logits, axis=-1)
+    heads = ad.transpose(ad.matmul(w, v), keep + (n + 1, n, n + 2))
+    return linear(ad.reshape(heads, lead + (tq, attn.width)), attn.wo, attn.bo), w.data

@@ -1,9 +1,11 @@
 """Ablation driver structure and equivalences."""
 
 import numpy as np
+import pytest
 
-from refseg.ablation import apply_overrides, run_ablation, variant_label
+from refseg.ablation import AblationReport, VariantResult, apply_overrides, run_ablation, variant_label
 from refseg.data import generate_split, vocabulary_for
+from refseg.errors import ConfigError
 from refseg.metrics import evaluate
 from refseg.train import init_state, train
 
@@ -14,6 +16,13 @@ def test_variant_labels():
     assert variant_label({"mode": "full"}) == "full"
     assert variant_label({"mode": "fixed_kernel"}) == "fixed_kernel"
     assert variant_label({"num_queries": 4}) == "nq4"
+
+
+def test_report_get_unknown_variant_raises_config_error():
+    report = AblationReport([VariantResult("full", [0], [])])
+    assert report.get("full").label == "full"
+    with pytest.raises(ConfigError, match="no_fvg"):
+        report.get("no_fvg")
 
 
 def test_apply_overrides_replaces_mode_and_model():

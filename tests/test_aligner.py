@@ -301,9 +301,9 @@ class TestFullModel:
 
 
 def test_forward_tape_budget(vocab):
-    """A default-config forward records at most 350 tape nodes, and the
-    count does not grow with the number of heads or queries: each runs as
-    one batched op."""
+    """A default-config forward records at most 165 tape nodes (each
+    attention call is one), and the count does not grow with the number of
+    heads or queries: each runs as one batched op."""
     from refseg.config import ModelConfig
 
     sample = generate_scene(5, GrammarConfig())
@@ -314,5 +314,5 @@ def test_forward_tape_budget(vocab):
         with ad.Tape() as tape:
             model.forward(image, model.tokenize(sample.expression), mode="full")
         counts[tuple(kw.items())] = len(tape)
-    assert counts[()] <= 350
+    assert counts[()] <= 165
     assert len(set(counts.values())) == 1, counts

@@ -299,9 +299,10 @@ def test_default_train_step_leaves_constants_without_gradient(default_step_data,
 
 
 def test_constants_record_no_nodes_in_default_train_step(default_step_data, monkeypatch):
-    """Tape nodes per default-config step, against the counts from when every
-    op recorded a node whatever its operands: no mode records more, and
-    ``no_estimator``'s aggregation by all-ones scores records one fewer."""
+    """Tape nodes per default-config step, against the counts with attention
+    as one node and every other op recording a node whatever its operands:
+    no mode records more, and ``no_estimator``'s aggregation by all-ones
+    scores records one fewer."""
     vocab, samples = default_step_data
     record = Tape.record
     nodes = []
@@ -313,9 +314,25 @@ def test_constants_record_no_nodes_in_default_train_step(default_step_data, monk
         nodes.clear()
         train(cfg, state, samples)
         counts[mode] = len(nodes)
-    every_op = {"full": 312, "fixed_kernel": 279, "no_estimator": 289, "no_fvg": 308}
+    every_op = {"full": 166, "fixed_kernel": 151, "no_estimator": 161, "no_fvg": 162}
     assert all(counts[m] <= every_op[m] for m in MODES), counts
     assert counts["no_estimator"] < every_op["no_estimator"], counts
+
+
+def test_default_train_step_leaves_no_gradient_aliased(default_step_data):
+    """Backward adopts the arrays a node owns instead of copying them; no
+    two parameters' gradients may then share memory, nor a gradient the
+    parameter arena."""
+    vocab, samples = default_step_data
+    for mode in MODES:
+        cfg = TrainConfig(model=ModelConfig(), steps=1, batch_size=4, mode=mode)
+        state = init_state(cfg, vocab)
+        train(cfg, state, samples)
+        grads = [p.value.grad for p in state.model.parameters() if p.value.grad is not None]
+        assert len(grads) > 100, mode
+        assert not any(np.shares_memory(g, state.model.store.arena) for g in grads), mode
+        shared = [(i, j) for i in range(len(grads)) for j in range(i) if np.shares_memory(grads[i], grads[j])]
+        assert not shared, (mode, shared)
 
 
 STEP_FAULTS = """

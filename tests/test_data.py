@@ -1,6 +1,7 @@
 """Synthetic scenes: rasterization, uniqueness, determinism, disk format."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ def test_dataset_round_trip(tmp_path):
         assert np.abs(loaded.image - orig.image).max() <= 0.5 / 255 + 1e-6
         assert loaded.target_index == orig.target_index
         assert loaded.shapes == orig.shapes
+
+
+def _damage_record(rec: dict, how: str) -> str:
+    if how == "no_shapes":
+        del rec["shapes"]
+    elif how == "string_index":
+        rec["index"] = str(rec["index"])
+    else:
+        return "{not json"
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("how", ["no_shapes", "string_index", "not_json"])
+def test_malformed_samples_record_names_file_and_line(tmp_path, how):
+    grammar = GrammarConfig(image_size=16, max_shapes=3)
+    save_dataset(tmp_path, {"train": generate_split(10, 3, grammar)}, grammar, grammar_to_pairs(grammar))
+    path = tmp_path / "train" / "samples.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = _damage_record(json.loads(lines[1]), how)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"samples\.jsonl line 2: "):
+        load_split(tmp_path, "train")
 
 
 def test_manifest_regeneration_bit_identical():

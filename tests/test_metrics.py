@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from refseg.autodiff import Tensor
 from refseg.data import generate_split, vocabulary_for
-from refseg.errors import DimensionError
+from refseg.errors import ConfigError, DimensionError
 from refseg.gradcheck import grad_check
 from refseg.metrics import (
     EvalReport,
@@ -179,7 +179,7 @@ class TestEvaluate:
         assert report.sample_count == 2
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="empty"):
             evaluate(_StubModel({}), [])
 
     def test_matches_from_scratch_oracle(self, rng):
