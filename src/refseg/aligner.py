@@ -11,7 +11,6 @@ batch axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -69,21 +68,6 @@ class TransformerDecoder:
 
 
 @dataclass
-class DynamicKernel:
-    """3x3 single-output-channel kernel deserialized from one query."""
-
-    weights: Tensor      # (3, 3, Cp)
-    bias: Tensor         # scalar
-    source_query: int
-
-    def serialize(self) -> np.ndarray:
-        """Inverse of the deserialization: 9*Cp weights then the bias."""
-        return np.concatenate(
-            [self.weights.data.reshape(-1), self.bias.data.reshape(1)]
-        )
-
-
-@dataclass
 class MaskBundle:
     """Head outputs of one forward pass, of one sample or of a batch.  In
     the dynamic-kernel modes the per-query ``masks`` are views of the stack
@@ -123,49 +107,28 @@ class MaskGenerator:
         )
         return ad.upsample2x(mid)
 
-    def _kernels(self, f_q: Tensor) -> tuple:
-        """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N) biases,
-        ReLU'd so every generated kernel is non-negative."""
+    def kernel_from_query(self, f_q: Tensor) -> tuple:
+        """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N)
+        biases: ReLU(f_q W_p + b_p) split as 9*Cp taps then one bias, so
+        every generated kernel is non-negative.  Tap order is (kernel row,
+        kernel column, channel), a row-major reshape of the leading 9*Cp
+        entries."""
         cp = self.cfg.kernel_channels
         raw = ad.relu(linear(f_q, self.w_p, self.b_p))
         taps = ad.getitem(raw, (Ellipsis, slice(0, 9 * cp)))
         return ad.reshape(taps, f_q.shape[:-1] + (3, 3, cp)), ad.getitem(raw, (Ellipsis, 9 * cp))
 
-    def _convolve(self, f_p: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    def apply_dynamic_kernel(self, f_p: Tensor, taps: Tensor, bias: Tensor) -> Tensor:
         """(..., H, W, Cp) map against its (..., N) kernels -> (..., N, H, W)
         logit maps: one conv with each sample's kernels as its output
         channels, which is the same math as one conv per kernel but shares
         the patch extraction."""
-        if weights.shape[-1] != f_p.shape[-1] or weights.shape[:-4] != f_p.shape[:-3]:
-            raise DimensionError(f"kernel channels {weights.shape} vs map {f_p.shape}")
-        n = weights.ndim - 4
+        if taps.shape[-1] != f_p.shape[-1] or taps.shape[:-4] != f_p.shape[:-3]:
+            raise DimensionError(f"kernel channels {taps.shape} vs map {f_p.shape}")
+        n = taps.ndim - 4
         keep = tuple(range(n))
-        out = ad.conv2d(f_p, ad.transpose(weights, keep + (n + 1, n + 2, n + 3, n)), bias)
+        out = ad.conv2d(f_p, ad.transpose(taps, keep + (n + 1, n + 2, n + 3, n)), bias)
         return ad.transpose(out, keep + (n + 2, n, n + 1))
-
-    def masks_from_queries(self, f_p: Tensor, f_q: Tensor) -> Tensor:
-        """(..., N_q, C) queries against the (..., 4S, 4S, Cp) map ->
-        (..., N_q, 4S, 4S)."""
-        return self._convolve(f_p, *self._kernels(f_q))
-
-    def kernel_from_query(self, f_qn: Tensor, index: int = 0) -> DynamicKernel:
-        """ReLU(W_p f_qn + b_p) split as 9*Cp kernel taps then one bias.
-
-        Tap order is (kernel row, kernel column, channel), i.e. a row-major
-        reshape of the leading 9*Cp entries to (3, 3, Cp).  This is the
-        one-query case of ``masks_from_queries``' kernel synthesis.
-        """
-        cp = self.cfg.kernel_channels
-        weights, bias = self._kernels(ad.reshape(f_qn, (1, f_qn.shape[0])))
-        return DynamicKernel(
-            weights=ad.reshape(weights, (3, 3, cp)), bias=bias, source_query=index
-        )
-
-    def apply_dynamic_kernel(self, f_p: Tensor, kernel: DynamicKernel) -> Tensor:
-        """Convolve the shared map with one query's kernel: a logit map."""
-        weights = ad.reshape(kernel.weights, (1,) + kernel.weights.shape)
-        out = self._convolve(f_p, weights, ad.reshape(kernel.bias, (1,)))
-        return ad.reshape(out, (f_p.shape[0], f_p.shape[1]))
 
     def fixed_head(self, f_p: Tensor) -> Tensor:
         out = ad.conv2d(f_p, self.fixed_kernel.value, self.fixed_bias.value)

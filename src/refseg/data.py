@@ -399,10 +399,13 @@ _RECORD_TYPES = {"index": int, "seed": int, "expression": str, "template": str, 
 
 
 def load_split(root, name: str) -> list:
-    """A split's samples; a malformed record raises ``ConfigError`` naming its line."""
+    """A split's samples.  A malformed record, a missing image or mask file,
+    or a mask of another size than its image raises ``ConfigError`` naming
+    the record's line."""
     sdir = Path(root) / name
     samples = []
     for lineno, line in enumerate((sdir / "samples.jsonl").read_text().splitlines(), 1):
+        where = f"{sdir / 'samples.jsonl'} line {lineno}"
         try:
             rec = json.loads(line)
             if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys() or any(
@@ -413,10 +416,15 @@ def load_split(root, name: str) -> list:
                 raise ValueError(f"negative index {rec['index']}")
             shapes = [ShapeSpec.from_dict(d) for d in rec["shapes"]]
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"{sdir / 'samples.jsonl'} line {lineno}: malformed record: {type(e).__name__}: {e}") from None
+            raise ConfigError(f"{where}: malformed record: {type(e).__name__}: {e}") from None
         i = rec["index"]
-        image = read_ppm(sdir / "images" / f"{i:05d}.ppm")
-        gt = (read_pgm(sdir / "masks" / f"{i:05d}.pgm") > 127).astype(np.uint8)
+        try:
+            image = read_ppm(sdir / "images" / f"{i:05d}.ppm")
+            gt = (read_pgm(sdir / "masks" / f"{i:05d}.pgm") > 127).astype(np.uint8)
+        except OSError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        if gt.shape != image.shape[:2]:
+            raise ConfigError(f"{where}: {gt.shape[1]}x{gt.shape[0]} mask for a {image.shape[1]}x{image.shape[0]} image")
         samples.append(
             Sample(
                 image=image,

@@ -211,7 +211,7 @@ def _block_checks(rng) -> list:
         feats = _fake_feats(rng, cfg)
         f_tg = Tensor(rng.standard_normal((cfg.text_global_width,)))
         proj = _sparse((cfg.num_tokens, cfg.fusion_width), rng)
-        return ("block.fusion_neck", lambda: ad.tsum(ad.mul(neck(feats, f_tg).f_vt, proj)), store.parameters(), BLOCK_EPS)
+        return ("block.fusion_neck", lambda: ad.tsum(ad.mul(neck(feats, f_tg), proj)), store.parameters(), BLOCK_EPS)
 
     checks.append(neck_block())
 
@@ -257,7 +257,7 @@ def _block_checks(rng) -> list:
         proj = _sparse((4 * s, 4 * s), rng)
 
         def f():
-            y = aggregate(gen.masks_from_queries(gen.project_fp(f_s), f_q), est(f_q))
+            y = aggregate(gen.apply_dynamic_kernel(gen.project_fp(f_s), *gen.kernel_from_query(f_q)), est(f_q))
             return ad.tsum(ad.mul(y, proj))
 
         return ("block.aligner", f, store.parameters(), BLOCK_EPS)

@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .aligner import (
     MaskBundle,
     MaskGenerator,
@@ -70,13 +69,7 @@ class Model:
     def tokenize(self, expression: str) -> TokenSequence:
         return tokenize(expression, self.vocab, self.cfg.max_tokens)
 
-    def forward(
-        self,
-        image: Tensor,
-        tokens: TokenSequence,
-        mode: str = "full",
-        query_permutation: Optional[Sequence[int]] = None,
-    ) -> MaskBundle:
+    def forward(self, image: Tensor, tokens: TokenSequence, mode: str = "full") -> MaskBundle:
         if mode not in TRAIN_MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         lead = image.shape[:-3]
@@ -87,14 +80,10 @@ class Model:
             raise DimensionError(f"image batch {image.shape} vs token batch {tokens.ids.shape}")
         text = self.text_encoder(tokens)
         feats = self.image_encoder(image)
-        fused = self.neck(feats, text.f_tg)
+        f_vt = self.neck(feats, text.f_tg)
         queries = self.query_gen(feats, text, tokens, use_fvg=(mode != "no_fvg"))
-
         f_q = queries.f_q
-        if query_permutation is not None:
-            f_q = ad.getitem(f_q, (Ellipsis, np.asarray(query_permutation, dtype=np.int64), slice(None)))
-
-        f_s = self.decoder(fused.f_vt, f_q)
+        f_s = self.decoder(f_vt, f_q)
         f_p = self.mask_gen.project_fp(f_s)
 
         if mode == "fixed_kernel":
@@ -102,7 +91,7 @@ class Model:
             scores = Tensor(np.ones(lead + (1,), dtype=self.dtype))
             return MaskBundle(masks=[mask], scores=scores, y=mask, attention=queries.a)
 
-        stack = self.mask_gen.masks_from_queries(f_p, f_q)
+        stack = self.mask_gen.apply_dynamic_kernel(f_p, *self.mask_gen.kernel_from_query(f_q))
         if mode == "no_estimator":
             scores = Tensor(np.ones(lead + (self.cfg.num_queries,), dtype=self.dtype))
         else:

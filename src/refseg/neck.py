@@ -11,8 +11,6 @@ coordinate channels are appended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -25,16 +23,9 @@ from .nn import ParamStore, conv_init, linear, zeros_init
 
 def coord_features(h: int, w: int, dtype=np.float32) -> Tensor:
     """(h, w, 2) map: channel 0 is x in [-1, 1], channel 1 is y in [-1, 1]."""
-    xs = np.linspace(-1.0, 1.0, w, dtype=dtype) if w > 1 else np.array([-1.0], dtype=dtype)
-    ys = np.linspace(-1.0, 1.0, h, dtype=dtype) if h > 1 else np.array([-1.0], dtype=dtype)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="xy"), axis=-1)
-    return Tensor(grid.astype(dtype))
-
-
-@dataclass
-class FusedFeatures:
-    f_m: Tensor      # (..., S, S, C) fused map on the 1/8 grid
-    f_vt: Tensor     # (..., S*S, C) row-major flattened tokens
+    xs = np.linspace(-1.0, 1.0, w, dtype=dtype)
+    ys = np.linspace(-1.0, 1.0, h, dtype=dtype)
+    return Tensor(np.stack(np.meshgrid(xs, ys, indexing="xy"), axis=-1))
 
 
 class _PyramidFuser:
@@ -80,13 +71,13 @@ class _PyramidFuser:
             stacked, self.conv_m.value, self.conv_m_b.value, accumulate=np.float32
         )
 
-    def intermediate(self, f_m: Tensor, f_coord: Tensor) -> Tensor:
-        """Appends the coordinate channels, broadcast over the batch, and
-        maps C + 2 -> C."""
-        if f_m.shape[-3:-1] != f_coord.shape[-3:-1]:
-            raise DimensionError(f"coord map {f_coord.shape} vs fused map {f_m.shape}")
-        f_coord = Tensor(np.broadcast_to(f_coord.data, f_m.shape[:-1] + f_coord.shape[-1:]))
-        stacked = ad.concat([f_m, f_coord], axis=-1)
+    def __call__(self, f_m4: Tensor, feats: ImageFeatures) -> Tensor:
+        """(..., S, S, C) fused stage-4 map and the stage-3/2 features ->
+        (..., S, S, C): fuse the scales, append the coordinate channels
+        (broadcast over the batch) and map C + 2 -> C."""
+        f_m = self.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
+        coords = coord_features(*f_m.shape[-3:-1], dtype=f_m.data.dtype).data
+        stacked = ad.concat([f_m, Tensor(np.broadcast_to(coords, f_m.shape[:-1] + (2,)))], axis=-1)
         return ad.conv2d(
             stacked, self.conv_inte.value, self.conv_inte_b.value, accumulate=np.float32
         )
@@ -106,10 +97,8 @@ class FusionNeck:
         )
         return ad.upsample2x(ad.mul(vis, gate))
 
-    def __call__(self, feats: ImageFeatures, f_tg: Tensor) -> FusedFeatures:
-        f_m4 = self.fuse_stage4(feats.f_v4, f_tg)
-        f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
-        s_h, s_w = f_m.shape[-3:-1]
-        f_inte = self.fuser.intermediate(f_m, coord_features(s_h, s_w, dtype=f_m.data.dtype))
-        f_vt = ad.reshape(f_inte, f_m.shape[:-3] + (s_h * s_w, self.cfg.fusion_width))
-        return FusedFeatures(f_m=f_m, f_vt=f_vt)
+    def __call__(self, feats: ImageFeatures, f_tg: Tensor) -> Tensor:
+        """(..., S*S, C) row-major flattened tokens F_vt."""
+        f_inte = self.fuser(self.fuse_stage4(feats.f_v4, f_tg), feats)
+        s_h, s_w = f_inte.shape[-3:-1]
+        return ad.reshape(f_inte, f_inte.shape[:-3] + (s_h * s_w, self.cfg.fusion_width))

@@ -169,7 +169,6 @@ class MultiHeadAttention:
         self.bv = store.parameter(f"{name}.bv", (width,), zeros_init)
         self.wo = store.parameter(f"{name}.wo", (width, width), ini)
         self.bo = store.parameter(f"{name}.bo", (width,), zeros_init)
-        self.last_weights: Optional[np.ndarray] = None  # (..., heads, Tq, Tk), last call
 
     def __call__(
         self,
@@ -178,8 +177,7 @@ class MultiHeadAttention:
         key_bias: Optional[np.ndarray] = None,
     ) -> Tensor:
         params = (self.wq, self.bq, self.wk, self.wv, self.bv, self.wo, self.bo)
-        out, self.last_weights = ad.attention(x, x if kv is None else kv, *(p.value for p in params), self.heads, key_bias)
-        return out
+        return ad.attention(x, x if kv is None else kv, *(p.value for p in params), self.heads, key_bias)[0]
 
 
 class FeedForward:

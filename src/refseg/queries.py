@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import ImageFeatures, TextFeatures, TokenSequence, pad_key_bias
-from .neck import _PyramidFuser, coord_features
+from .neck import _PyramidFuser
 from .nn import ParamStore, conv_init, zeros_init
 
 
@@ -59,14 +59,13 @@ class QueryGenerator:
     def dense_vision(self, feats: ImageFeatures) -> Tensor:
         """(..., N_q, S*S) saliency rows from the un-gated feature pyramid."""
         f_m4 = ad.upsample2x(ad.relu(ad.matmul(feats.f_v4, self.fuser.w_v4.value, rows=2)))
-        f_m = self.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
-        s_h, s_w = f_m.shape[-3:-1]
-        x = self.fuser.intermediate(f_m, coord_features(s_h, s_w, dtype=f_m.data.dtype))
+        x = self.fuser(f_m4, feats)
+        s_h, s_w = x.shape[-3:-1]
         for i, (kernel, bias) in enumerate(self.reduce):
             if i > 0:
                 x = ad.relu(x)
             x = ad.conv2d(x, kernel.value, bias.value, accumulate=np.float32)
-        return ad.transpose(ad.reshape(x, f_m.shape[:-3] + (s_h * s_w, self.cfg.num_queries)))
+        return ad.transpose(ad.reshape(x, x.shape[:-3] + (s_h * s_w, self.cfg.num_queries)))
 
     def fuse_language_global(self, f_t: Tensor, f_vg: Tensor, use_fvg: bool = True) -> Tensor:
         """(..., L, C) word features relu(F_t W_t), scaled per channel by

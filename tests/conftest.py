@@ -1,6 +1,10 @@
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 
+from refseg import autodiff as ad
 from refseg.config import ModelConfig
 from refseg.data import GrammarConfig, vocabulary_for
 
@@ -35,3 +39,44 @@ def tiny_grammar():
 @pytest.fixture
 def vocab():
     return vocabulary_for(GrammarConfig())
+
+
+@contextlib.contextmanager
+def _permuted_queries(model, perm):
+    """Inside the block ``model``'s query generator hands on its query rows
+    in ``perm`` order (``None`` leaves them as they are), so the decoder, the
+    kernels and the scores all see the permuted queries."""
+    real = model.query_gen
+    if perm is not None:
+        index = (Ellipsis, np.asarray(perm, dtype=np.int64), slice(None))
+
+        def permuted(*args, **kwargs):
+            queries = real(*args, **kwargs)
+            return dataclasses.replace(queries, f_q=ad.getitem(queries.f_q, index))
+
+        model.query_gen = permuted
+    try:
+        yield
+    finally:
+        model.query_gen = real
+
+
+@pytest.fixture
+def permuted_queries():
+    return _permuted_queries
+
+
+@pytest.fixture
+def attention_weights(monkeypatch):
+    """The (..., heads, Tq, Tk) weights of every ``ad.attention`` call the
+    test makes, in call order."""
+    calls = []
+    real = ad.attention
+
+    def recording(*args, **kwargs):
+        out, weights = real(*args, **kwargs)
+        calls.append(weights)
+        return out, weights
+
+    monkeypatch.setattr(ad, "attention", recording)
+    return calls

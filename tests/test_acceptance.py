@@ -13,7 +13,6 @@ import pytest
 
 from refseg import autodiff as ad
 from refseg.ablation import run_ablation
-from refseg.aligner import DynamicKernel
 from refseg.autodiff import Tensor
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
@@ -60,16 +59,16 @@ def test_criterion_2_dynamic_conv_oracle(rng):
         f_arr = 0.5 * rng.standard_normal((h, w, cp))
         ref = naive_conv(f_arr, w_arr[:, :, :, None], b_arr)[:, :, 0]
 
-        kern64 = DynamicKernel(Tensor(w_arr), Tensor(b_arr), 0)
-        out64 = gen.apply_dynamic_kernel(Tensor(f_arr), kern64)
-        assert np.array_equal(out64.data, ref), "double precision must be exact"
+        out64 = gen.apply_dynamic_kernel(Tensor(f_arr), Tensor(w_arr[None]), Tensor(b_arr)).data[0]
+        assert np.array_equal(out64, ref), "double precision must be exact"
         cases += 1
 
-        kern32 = DynamicKernel(
-            Tensor(w_arr.astype(np.float32)), Tensor(b_arr.astype(np.float32)), 0
-        )
-        out32 = gen.apply_dynamic_kernel(Tensor(f_arr.astype(np.float32)), kern32)
-        assert np.abs(out32.data - ref).max() < 1e-6
+        out32 = gen.apply_dynamic_kernel(
+            Tensor(f_arr.astype(np.float32)),
+            Tensor(w_arr.astype(np.float32)[None]),
+            Tensor(b_arr.astype(np.float32)),
+        ).data[0]
+        assert np.abs(out32 - ref).max() < 1e-6
         cases += 1
     assert cases >= 100
     _report(2, f"{cases} random cases: double exact, single < 1e-6")
@@ -95,10 +94,9 @@ def test_criterion_3_kernel_bookkeeping(rng):
 
         gen = MaskGenerator(store, cfg)
         for _ in range(10):
-            k = gen.kernel_from_query(Tensor(rng.standard_normal(c)))
-            scalars = k.weights.data.size + k.bias.data.size
-            assert scalars == 9 * (c // 2) + 1
-            assert k.serialize().size == scalars
+            taps, bias = gen.kernel_from_query(Tensor(rng.standard_normal(c)[None]))
+            assert taps.shape == (1, 3, 3, c // 2) and bias.shape == (1,)
+            assert taps.data[0].size + bias.data[0].size == 9 * (c // 2) + 1
         checked.append(c)
     _report(3, f"9*Cp+1 scalars for C in {checked}")
 
@@ -145,7 +143,7 @@ def test_criterion_5_single_query_degeneracy():
     _report(5, "N_q=1 gives S_q=[1.0] exactly and y == mask_1")
 
 
-def test_criterion_6_permutation_invariance(rng):
+def test_criterion_6_permutation_invariance(rng, permuted_queries):
     cfg = dataclasses.replace(tiny_config(), num_queries=4)
     grammar = GrammarConfig(image_size=16, max_shapes=3)
     vocab = vocabulary_for(grammar)
@@ -160,7 +158,8 @@ def test_criterion_6_permutation_invariance(rng):
         scale = max(np.abs(base).max(), 1e-12)
         for _ in range(5):
             perm = rng.permutation(cfg.num_queries)
-            permuted = model.forward(image, tokens, query_permutation=perm).y.data
+            with permuted_queries(model, perm):
+                permuted = model.forward(image, tokens).y.data
             rel = np.abs(base - permuted).max() / scale
             worst = max(worst, rel)
             assert rel <= 1e-5

@@ -131,13 +131,13 @@ def test_gradcheck_constant_function_both_zero(rng):
     assert err == 0.0
 
 
-def test_mhsa_single_row_attention_weight_is_one(rng):
+def test_mhsa_single_row_attention_weight_is_one(rng, attention_weights):
     store = ParamStore(dtype=np.float64, seed=4)
     attn = MultiHeadAttention(store, "attn", 8, 2)
     x = Tensor(rng.standard_normal((1, 8)))
     out = attn(x)
     assert out.shape == (1, 8)
-    assert np.allclose(attn.last_weights, 1.0)
+    assert np.allclose(attention_weights[-1], 1.0)
     # with weight exactly one the block reduces to out_proj(v_proj(x))
     v = x.data @ attn.wv.value.data + attn.bv.value.data
     expected = v @ attn.wo.value.data + attn.bo.value.data
@@ -185,7 +185,7 @@ def per_head_reference(attn, x, kv=None, key_bias=None):
 
 
 @pytest.mark.parametrize("case", ["self", "cross", "key_bias"])
-def test_fused_mha_matches_per_head_reference(case, rng):
+def test_fused_mha_matches_per_head_reference(case, rng, attention_weights):
     store = ParamStore(dtype=np.float64, seed=7)
     attn = MultiHeadAttention(store, "attn", 12, 3)
     x = rng.standard_normal((5, 12))
@@ -195,11 +195,12 @@ def test_fused_mha_matches_per_head_reference(case, rng):
         key_bias = np.array([0.0, 0.0, 0.0, -np.inf, -np.inf])
     out = attn(Tensor(x), kv=None if kv is None else Tensor(kv), key_bias=key_bias)
     ref, ref_weights = per_head_reference(attn, x, kv, key_bias)
+    weights = attention_weights[-1]
     assert np.abs(out.data - ref).max() < 1e-12
-    assert attn.last_weights.shape == ref_weights.shape
-    assert np.abs(attn.last_weights - ref_weights).max() < 1e-12
+    assert weights.shape == ref_weights.shape
+    assert np.abs(weights - ref_weights).max() < 1e-12
     if key_bias is not None:
-        assert np.all(attn.last_weights[:, :, 3:] == 0.0)
+        assert np.all(weights[:, :, 3:] == 0.0)
 
 
 def test_mha_tape_nodes_independent_of_heads(rng):
@@ -232,7 +233,7 @@ def _attention_run(attn, forward, x, kv, key_bias, proj, x_grad):
 @pytest.mark.parametrize("case", ["self", "cross", "key_bias"])
 @pytest.mark.parametrize("lead", [(), (3,)])
 @pytest.mark.parametrize("x_has_grad", [False, True])
-def test_fused_attention_matches_taped_chain_bytewise(dtype, case, lead, x_has_grad, rng):
+def test_fused_attention_matches_taped_chain_bytewise(dtype, case, lead, x_has_grad, rng, attention_weights):
     attn = MultiHeadAttention(ParamStore(dtype=dtype, seed=3), "attn", 12, 3)
     for p in (attn.bq, attn.bv, attn.bo):
         p.value.data[...] = rng.standard_normal(12)
@@ -246,7 +247,7 @@ def test_fused_attention_matches_taped_chain_bytewise(dtype, case, lead, x_has_g
     x_grad = rng.standard_normal(x.shape).astype(dtype) if x_has_grad else None
 
     def fused(*args):
-        return attn(*args), attn.last_weights
+        return attn(*args), attention_weights[-1]
 
     got = _attention_run(attn, fused, x, kv, key_bias, proj, x_grad)
     want = _attention_run(attn, lambda *a: taped_attention(attn, *a), x, kv, key_bias, proj, x_grad)

@@ -56,11 +56,12 @@ def batch3(tiny_cfg, tiny_grammar):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("perm", [None, [2, 0, 1]])
-def test_batched_forward_equals_single_forwards(batch3, mode, perm):
+def test_batched_forward_equals_single_forwards(batch3, mode, perm, permuted_queries):
     model, images, tokens, _ = batch3
-    batched = model.forward(Tensor(np.stack(images)), TokenSequence.stack(tokens), mode=mode, query_permutation=perm)
-    for j in range(3):
-        single = model.forward(Tensor(images[j]), tokens[j], mode=mode, query_permutation=perm)
+    with permuted_queries(model, perm):
+        batched = model.forward(Tensor(np.stack(images)), TokenSequence.stack(tokens), mode=mode)
+        singles = [model.forward(Tensor(images[j]), tokens[j], mode=mode) for j in range(3)]
+    for j, single in enumerate(singles):
         assert batched.y.shape == (3,) + single.y.shape
         assert np.array_equal(batched.y.data[j], single.y.data)
         assert np.array_equal(batched.scores.data[j], single.scores.data)
@@ -172,7 +173,7 @@ def test_per_sample_kernel_conv_matches_naive_loop(rng):
             assert np.abs(out32[j] - ref).max() < 1e-6
 
 
-def test_batched_float32_masks_from_queries_match_naive_loop(tiny_cfg, rng):
+def test_batched_float32_dynamic_kernel_masks_match_naive_loop(tiny_cfg, rng):
     """The dynamic head's batched training path keeps the double sum: every
     mask is within 1e-6 of the double loop over the same float32 kernels,
     and within half a float32 ulp of it (a float32 sum is off by thousands
@@ -182,8 +183,9 @@ def test_batched_float32_masks_from_queries_match_naive_loop(tiny_cfg, rng):
     cp = cfg.kernel_channels
     f_p = (0.5 * rng.standard_normal((3, 8, 8, cp))).astype(np.float32)
     f_q = rng.standard_normal((3, 4, cfg.fusion_width)).astype(np.float32)
-    masks = gen.masks_from_queries(Tensor(f_p), Tensor(f_q)).data
-    weights, bias = (t.data.astype(np.float64) for t in gen._kernels(Tensor(f_q)))
+    taps, bias = gen.kernel_from_query(Tensor(f_q))
+    masks = gen.apply_dynamic_kernel(Tensor(f_p), taps, bias).data
+    weights, bias = taps.data.astype(np.float64), bias.data.astype(np.float64)
     assert masks.shape == (3, 4, 8, 8) and masks.dtype == np.float32
     for j in range(3):
         for n in range(4):

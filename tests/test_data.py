@@ -28,6 +28,7 @@ from refseg.data import (
 )
 from refseg.encoders import tokenize
 from refseg.errors import ConfigError, GenerationError
+from refseg.tensor_io import write_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,12 @@ def test_dataset_round_trip(tmp_path):
         assert loaded.shapes == orig.shapes
 
 
+def _saved_train_split(root):
+    grammar = GrammarConfig(image_size=16, max_shapes=3)
+    save_dataset(root, {"train": generate_split(10, 3, grammar)}, grammar, grammar_to_pairs(grammar))
+    return root / "train"
+
+
 def _damage_record(rec: dict, how: str) -> str:
     if how == "no_shapes":
         del rec["shapes"]
@@ -188,13 +195,25 @@ def _damage_record(rec: dict, how: str) -> str:
 
 @pytest.mark.parametrize("how", ["no_shapes", "string_index", "not_json"])
 def test_malformed_samples_record_names_file_and_line(tmp_path, how):
-    grammar = GrammarConfig(image_size=16, max_shapes=3)
-    save_dataset(tmp_path, {"train": generate_split(10, 3, grammar)}, grammar, grammar_to_pairs(grammar))
-    path = tmp_path / "train" / "samples.jsonl"
+    path = _saved_train_split(tmp_path) / "samples.jsonl"
     lines = path.read_text().splitlines()
     lines[1] = _damage_record(json.loads(lines[1]), how)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"samples\.jsonl line 2: "):
+        load_split(tmp_path, "train")
+
+
+def test_missing_image_names_file_and_line(tmp_path):
+    sdir = _saved_train_split(tmp_path)
+    (sdir / "images" / "00001.ppm").unlink()
+    with pytest.raises(ConfigError, match=r"samples\.jsonl line 2: .*00001\.ppm"):
+        load_split(tmp_path, "train")
+
+
+def test_mask_of_another_size_than_its_image_names_file_and_line(tmp_path):
+    sdir = _saved_train_split(tmp_path)
+    write_pgm(sdir / "masks" / "00002.pgm", np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(ConfigError, match=r"samples\.jsonl line 3: 4x4 mask for a 16x16 image"):
         load_split(tmp_path, "train")
 
 

@@ -66,8 +66,8 @@ def test_concat_width_bookkeeping(tiny_cfg, rng):
     assert f_m4.shape[2] == c
     # the 1x1 aggregation consumes a 3C-wide concat and emits C
     assert neck.fuser.conv_m.value.shape == (1, 1, 3 * c, c)
-    fused = neck(feats, f_tg)
-    assert fused.f_m.shape[2] == c
+    f_m = neck.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
+    assert f_m.shape[2] == c
 
 
 def test_zero_side_branches_leave_stage4_path(tiny_cfg, rng):
@@ -117,7 +117,8 @@ def test_full_neck_matches_compositional_oracle(tiny_cfg, rng):
     neck, _ = build_neck(tiny_cfg)
     feats = make_feats(tiny_cfg, rng)
     f_tg_arr = rng.standard_normal(tiny_cfg.text_global_width)
-    fused = neck(feats, Tensor(f_tg_arr))
+    f_vt = neck(feats, Tensor(f_tg_arr))
+    fused_m = neck.fuser.fuse_multiscale(neck.fuse_stage4(feats.f_v4, Tensor(f_tg_arr)), feats.f_v3, feats.f_v2)
 
     c = tiny_cfg.fusion_width
     relu = lambda a: np.maximum(a, 0)
@@ -139,19 +140,23 @@ def test_full_neck_matches_compositional_oracle(tiny_cfg, rng):
     )
     f_m = proj(np.concatenate([m2, m3, m4], axis=2), neck.fuser.conv_m.value.data.reshape(3 * c, c))
     f_m = f_m + neck.fuser.conv_m_b.value.data
-    assert np.allclose(fused.f_m.data, f_m, atol=1e-10)
+    assert np.allclose(fused_m.data, f_m, atol=1e-10)
 
     s = m4.shape[0]
     coords = coord_features(s, s, dtype=np.float64).data
     inte = proj(np.concatenate([f_m, coords], axis=2), neck.fuser.conv_inte.value.data.reshape(c + 2, c))
     inte = inte + neck.fuser.conv_inte_b.value.data
-    assert np.allclose(fused.f_vt.data, inte.reshape(s * s, c), atol=1e-10)
+    assert np.allclose(f_vt.data, inte.reshape(s * s, c), atol=1e-10)
 
 
 class TestCoordFeatures:
     def test_corner(self):
-        grid = coord_features(4, 4).data
-        assert tuple(grid[0, 0]) == (-1.0, -1.0)
+        # an axis of length one sits at -1, in either precision
+        for h, w in ((4, 4), (1, 1), (1, 3)):
+            for dtype in (np.float32, np.float64):
+                grid = coord_features(h, w, dtype=dtype).data
+                assert grid.shape == (h, w, 2) and grid.dtype == dtype
+                assert tuple(grid[0, 0]) == (-1.0, -1.0)
 
     def test_center_of_odd_grid(self):
         grid = coord_features(5, 5).data
@@ -173,19 +178,19 @@ class TestCoordFeatures:
 def test_flatten_row_major_order(tiny_cfg, rng):
     neck, _ = build_neck(tiny_cfg)
     feats = make_feats(tiny_cfg, rng)
-    fused = neck(feats, Tensor(rng.standard_normal(tiny_cfg.text_global_width)))
+    f_vt = neck(feats, Tensor(rng.standard_normal(tiny_cfg.text_global_width)))
     s = tiny_cfg.grid_size
     # row-major: spatial position (1, 0) lands at flat row 1*s + 0
-    inte = fused.f_vt.data.reshape(s, s, tiny_cfg.fusion_width)
-    assert np.array_equal(fused.f_vt.data[1 * s + 0], inte[1, 0])
-    assert fused.f_vt.shape == (s * s, tiny_cfg.fusion_width)
+    inte = f_vt.data.reshape(s, s, tiny_cfg.fusion_width)
+    assert np.array_equal(f_vt.data[1 * s + 0], inte[1, 0])
+    assert f_vt.shape == (s * s, tiny_cfg.fusion_width)
 
 
 def test_fvt_row_count_matches_grid(tiny_cfg, rng):
     neck, _ = build_neck(tiny_cfg)
     feats = make_feats(tiny_cfg, rng)
-    fused = neck(feats, Tensor(rng.standard_normal(tiny_cfg.text_global_width)))
-    assert fused.f_vt.shape[0] == tiny_cfg.num_tokens == tiny_cfg.grid_size**2
+    f_vt = neck(feats, Tensor(rng.standard_normal(tiny_cfg.text_global_width)))
+    assert f_vt.shape[0] == tiny_cfg.num_tokens == tiny_cfg.grid_size**2
 
 
 def test_neck_gradcheck(tiny_cfg, rng):
@@ -194,7 +199,7 @@ def test_neck_gradcheck(tiny_cfg, rng):
     f_tg = Tensor(rng.standard_normal(tiny_cfg.text_global_width))
     proj = sparse_proj((tiny_cfg.num_tokens, tiny_cfg.fusion_width), rng)
     err = grad_check(
-        lambda: ad.tsum(ad.mul(neck(feats, f_tg).f_vt, proj)),
+        lambda: ad.tsum(ad.mul(neck(feats, f_tg), proj)),
         store.parameters(),
         eps=1e-4,
         sample_per_param=6,
