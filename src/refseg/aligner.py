@@ -1,15 +1,15 @@
 """Transformer decoding of fused tokens against queries, followed by the
 query-conditioned segmentation head.  All N_q queries of every sample go
 through the head together: one matrix product synthesizes their 3x3
-kernels, one convolution with each sample's kernels as its output channels
-turns that sample's upsampled feature map into an (N_q, 4S, 4S) stack of
-mask logit maps, and a self-attention scorer softmax-weights each stack into
-that sample's prediction.  Every shape below takes an optional leading
-batch axis.
+kernels, a self-attention scorer weights them, and the prediction, the
+score-weighted sum of the mask logit maps the kernels make from the
+upsampled feature map, is one conv with the score-weighted kernel.  Every
+shape below takes an optional leading batch axis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +69,22 @@ class TransformerDecoder:
 
 @dataclass
 class MaskBundle:
-    """Head outputs of one forward pass, of one sample or of a batch.  In
-    the dynamic-kernel modes the per-query ``masks`` are views of the stack
-    ``y`` was computed from and record no tape nodes: they are for dumps and
-    checks, not differentiable; gradients flow through ``y`` and ``scores``."""
+    """Head outputs of one forward pass, of one sample or of a batch.  The
+    dynamic heads' ``kernels`` (head, f_p, taps, bias) make ``masks`` on first
+    read, untaped, for dumps and checks; gradients flow through ``y``."""
 
-    masks: list        # N_q mask logit maps, each (..., 4S, 4S)
     scores: Tensor     # (..., N_q) mask weights
     y: Tensor          # (..., 4S, 4S) aggregated logit map
     attention: Tensor  # (..., N_q, L) word-attention map the queries were made from
+    kernels: tuple = ()
+
+    @functools.cached_property
+    def masks(self) -> list:
+        """N_q mask logit maps, each (..., 4S, 4S); the fixed head's is ``y``."""
+        if not self.kernels:
+            return [self.y]
+        stack = self.kernels[0].apply_dynamic_kernel(*(Tensor(t.data) for t in self.kernels[1:]))
+        return [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
 
 
 class MaskGenerator:
@@ -157,10 +164,6 @@ class QueryEstimator:
         return ad.softmax(logits, axis=-1)
 
 
-def aggregate(masks: Tensor, scores: Tensor) -> Tensor:
-    """Score-weighted sum of each sample's (N_q, H, W) mask stack, adding
-    the masks in query order: (..., N_q, H, W) and (..., N_q) -> (..., H, W)."""
-    if masks.ndim < 3 or masks.shape[:-2] != scores.shape:
-        raise DimensionError(f"masks {masks.shape} vs scores {scores.shape}")
-    weights = ad.reshape(scores, scores.shape + (1, 1))
-    return ad.tsum(ad.mul(masks, weights), axis=-3)
+def aggregate(f_p: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> Tensor:
+    """Score-weighted sum of the maps the N_q kernels make from ``f_p``."""
+    return ad.weighted_conv(f_p, taps, bias, scores)

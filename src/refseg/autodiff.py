@@ -583,15 +583,15 @@ def conv2d(
     With the default float64 each output is within one rounding of the
     exact sum: the map is padded once into float64 and each of the k*k
     taps is one batched GEMM over its rows (one per sample), added into a
-    float64 accumulator, so no patch matrix is built.  The two mask heads
-    keep it: the dynamic head must stay within criterion 2's 1e-6 of the
-    double-precision oracle (a float32 sum came within 9.7e-7 of it), and
-    the fixed-kernel head sums as the dynamic one does so that criterion 8
-    compares like with like.  The feature convs of the backbone, neck and
-    query generator pass float32: one float32 im2col GEMM, each output
-    within the dot-product bound gamma_K * sum|x*k| (K = k*k*Cin + 1).  The
-    backward does not depend on ``accumulate``; it rebuilds the patch
-    matrix for the kernel gradient when the forward kept none.
+    float64 accumulator, so no patch matrix is built.  The per-query masks
+    keep it, to stay within criterion 2's 1e-6 of the double-precision
+    oracle (a float32 sum came within 9.7e-7 of it), and so does the fixed
+    head, which then sums in float64 as ``weighted_conv`` does.  The feature
+    convs of the backbone, neck and query generator pass float32: one
+    float32 im2col GEMM, each output within the dot-product bound gamma_K *
+    sum|x*k| (K = k*k*Cin + 1).  The backward does not depend on
+    ``accumulate``; it frees the forward's patch matrix once used, for the
+    heap to reuse, and rebuilds one when the forward kept none.
     """
     per_sample = kernel.ndim == 5
     batch = kernel.shape[:1] if per_sample else ()
@@ -634,11 +634,13 @@ def conv2d(
     out = Tensor(ydata)
 
     def bw(g):
+        nonlocal cols_cache
         gmat = g.reshape(rows + (cout,))
         if kernel.requires_grad:
-            cols = cols_cache if cols_cache is not None else _im2col(x.data, k)
-            cols = cols.reshape(rows + (k * k * cin,))
+            cols = (cols_cache if cols_cache is not None else _im2col(x.data, k)).reshape(rows + (k * k * cin,))
+            cols_cache = None
             _accum(kernel, (np.swapaxes(cols, -1, -2) @ gmat).reshape(kernel.shape), owned=True)
+            del cols
         if bias is not None and bias.requires_grad:
             _accum(bias, gmat.sum(axis=-2), owned=True)
         if x.requires_grad:
@@ -649,6 +651,45 @@ def conv2d(
             _accum(x, (gcols @ kflip.reshape(batch + (k * k * cout, cin))).reshape(x.shape), owned=True)
 
     _record(out, bw, x, kernel, *(() if bias is None else (bias,)))
+    return out
+
+
+def weighted_conv(x: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> Tensor:
+    """sum_n s_n * conv(x, K_n, b_n) over an (..., H, W, C) map, (..., N, 3, 3, C)
+    kernels, (..., N) biases and scores -> (..., H, W): one float64 GEMM per
+    sample with the kernel merged in float64 in kernel order, its 9 tap
+    columns added shifted in (dy, dx) order, then the bias, rounded once."""
+    for t in (taps, bias, scores):
+        _check_same_dtype(x, t, "weighted_conv")
+    lead, (h, w, c), n = x.shape[:-3], x.shape[-3:], scores.shape[-1]
+    if taps.shape != lead + (n, 3, 3, c) or bias.shape != lead + (n,) or scores.shape != lead + (n,):
+        raise DimensionError(f"weighted_conv: map {x.shape}, taps {taps.shape}, bias {bias.shape}, scores {scores.shape}")
+    s, k, b = (t.data.astype(np.float64) for t in (scores, taps, bias))
+    kbar = functools.reduce(np.add, (s[..., i, None, None, None] * k[..., i, :, :, :] for i in range(n)))
+    bbar = functools.reduce(np.add, (s[..., i] * b[..., i] for i in range(n)))
+    cols = x.data.astype(np.float64).reshape(lead + (h * w, c)) @ np.swapaxes(kbar.reshape(lead + (9, c)), -1, -2)
+    cols = cols.reshape(lead + (h, w, 3, 3))
+    acc = np.zeros(lead + (h + 2, w + 2))
+    for dy, dx in np.ndindex(3, 3):
+        acc[..., 2 - dy : 2 - dy + h, 2 - dx : 2 - dx + w] += cols[..., dy, dx]
+    out = Tensor((acc[..., 1 : h + 1, 1 : w + 1] + bbar[..., None, None]).astype(x.data.dtype))
+
+    def bw(g):
+        gcols = _im2col(g[..., None], 3)  # (..., H*W, 9)
+        gsum = g.sum(axis=(-2, -1))[..., None]
+        if x.requires_grad:
+            kflip = kbar[..., ::-1, ::-1, :].astype(x.data.dtype).reshape(lead + (9, c))
+            _accum(x, (gcols @ kflip).reshape(x.shape), owned=True)
+        gk = (np.swapaxes(x.data.reshape(lead + (h * w, c)), -1, -2) @ gcols)[..., ::-1]  # merged kernel grad
+        gk = np.swapaxes(gk, -1, -2).reshape(lead + (9 * c, 1))
+        if taps.requires_grad:
+            _accum(taps, (scores.data[..., None, None] * gk[..., None, :, :]).reshape(taps.shape), owned=True)
+        if bias.requires_grad:
+            _accum(bias, scores.data * gsum, owned=True)
+        if scores.requires_grad:
+            _accum(scores, (taps.data.reshape(lead + (n, 9 * c)) @ gk)[..., 0] + bias.data * gsum, owned=True)
+
+    _record(out, bw, x, taps, bias, scores)
     return out
 
 

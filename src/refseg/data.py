@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import field_casts, field_pairs, section_kwargs, write_kv_file
 from .encoders import Vocabulary
-from .errors import ConfigError, GenerationError
+from .errors import CheckpointError, ConfigError, GenerationError
 from .tensor_io import read_pgm, read_ppm, write_pgm, write_ppm
 
 COLOR_TABLE = {
@@ -399,9 +399,9 @@ _RECORD_TYPES = {"index": int, "seed": int, "expression": str, "template": str, 
 
 
 def load_split(root, name: str) -> list:
-    """A split's samples.  A malformed record, a missing image or mask file,
-    or a mask of another size than its image raises ``ConfigError`` naming
-    the record's line."""
+    """A split's samples.  A malformed record, a missing, truncated or
+    malformed image or mask file, or a mask of another size than its image
+    raises ``ConfigError`` naming the record's line."""
     sdir = Path(root) / name
     samples = []
     for lineno, line in enumerate((sdir / "samples.jsonl").read_text().splitlines(), 1):
@@ -421,7 +421,7 @@ def load_split(root, name: str) -> list:
         try:
             image = read_ppm(sdir / "images" / f"{i:05d}.ppm")
             gt = (read_pgm(sdir / "masks" / f"{i:05d}.pgm") > 127).astype(np.uint8)
-        except OSError as e:
+        except (OSError, CheckpointError) as e:  # the netpbm reader's error type
             raise ConfigError(f"{where}: {e}") from None
         if gt.shape != image.shape[:2]:
             raise ConfigError(f"{where}: {gt.shape[1]}x{gt.shape[0]} mask for a {image.shape[1]}x{image.shape[0]} image")

@@ -257,8 +257,7 @@ def _block_checks(rng) -> list:
         proj = _sparse((4 * s, 4 * s), rng)
 
         def f():
-            y = aggregate(gen.apply_dynamic_kernel(gen.project_fp(f_s), *gen.kernel_from_query(f_q)), est(f_q))
-            return ad.tsum(ad.mul(y, proj))
+            return ad.tsum(ad.mul(aggregate(gen.project_fp(f_s), *gen.kernel_from_query(f_q), est(f_q)), proj))
 
         return ("block.aligner", f, store.parameters(), BLOCK_EPS)
 

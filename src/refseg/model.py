@@ -87,17 +87,14 @@ class Model:
         f_p = self.mask_gen.project_fp(f_s)
 
         if mode == "fixed_kernel":
-            mask = self.mask_gen.fixed_head(f_p)
-            scores = Tensor(np.ones(lead + (1,), dtype=self.dtype))
-            return MaskBundle(masks=[mask], scores=scores, y=mask, attention=queries.a)
+            ones = Tensor(np.ones(lead + (1,), dtype=self.dtype))
+            return MaskBundle(scores=ones, y=self.mask_gen.fixed_head(f_p), attention=queries.a)
 
-        stack = self.mask_gen.apply_dynamic_kernel(f_p, *self.mask_gen.kernel_from_query(f_q))
-        if mode == "no_estimator":
-            scores = Tensor(np.ones(lead + (self.cfg.num_queries,), dtype=self.dtype))
-        else:
-            scores = self.estimator(f_q)
-        masks = [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
-        return MaskBundle(masks=masks, scores=scores, y=aggregate(stack, scores), attention=queries.a)
+        taps, bias = self.mask_gen.kernel_from_query(f_q)
+        per_query = lead + (self.cfg.num_queries,)
+        scores = Tensor(np.ones(per_query, dtype=self.dtype)) if mode == "no_estimator" else self.estimator(f_q)
+        y = aggregate(f_p, taps, bias, scores)
+        return MaskBundle(scores=scores, y=y, attention=queries.a, kernels=(self.mask_gen, f_p, taps, bias))
 
     def predict_batch(self, images: np.ndarray, expressions: Sequence[str], mode: str = "full") -> np.ndarray:
         """Inference over a (B, H, W, 3) image stack and its B expressions:

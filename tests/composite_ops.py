@@ -1,7 +1,7 @@
 """Taped ops the model does not use, kept for tests that build reference
 compositions (layer norm as a chain of primitive ops, a composite gradient
-check, attention as a chain of taped ops).  They follow
-``refseg.autodiff``'s node protocol."""
+check, attention as a chain of taped ops, the mask head as a mask stack and
+a weighted sum).  They follow ``refseg.autodiff``'s node protocol."""
 
 import math
 
@@ -82,3 +82,13 @@ def taped_attention(attn, x: Tensor, kv: Tensor = None, key_bias=None):
     w = ad.softmax(logits, axis=-1)
     heads = ad.transpose(ad.matmul(w, v), keep + (n + 1, n, n + 2))
     return linear(ad.reshape(heads, lead + (tq, attn.width)), attn.wo, attn.bo), w.data
+
+
+def taped_aggregate(gen, f_p: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> Tensor:
+    """The score-weighted mask sum as the chain of taped ops it replaced:
+    ``gen.apply_dynamic_kernel`` makes the (..., N, H, W) mask stack in one
+    N-channel conv, and a reshape, mul and tsum add its maps weighted by the
+    scores.  The reference for ``aligner.aggregate``."""
+    stack = gen.apply_dynamic_kernel(f_p, taps, bias)
+    weights = ad.reshape(scores, scores.shape + (1, 1))
+    return ad.tsum(ad.mul(stack, weights), axis=-3)

@@ -1,6 +1,7 @@
 """Decoder, dynamic kernels, mask generation, scoring, aggregation."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from refseg.aligner import (
     aggregate,
 )
 from refseg.autodiff import Tensor
+from refseg.errors import DimensionError
 from refseg.data import GrammarConfig, generate_scene, generate_split, vocabulary_for
 from refseg.model import Model
 from refseg.nn import ParamStore
 
+from composite_ops import taped_aggregate
 from test_tensor_ops import naive_conv
 
 
@@ -188,24 +191,101 @@ def test_scores_tell_queries_apart_at_init():
         assert np.ptp(scores) > 1e-3, scores
 
 
+def _head_inputs(rng, lead, n, dtype, h=8, w=7, cp=4):
+    """A map, N non-negative kernels (the generator's ReLU makes them so),
+    their biases and softmax scores, as the model's head receives them."""
+    logits = rng.standard_normal(lead + (n,))
+    scores = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    arrays = (
+        rng.standard_normal(lead + (h, w, cp)),
+        0.3 * np.abs(rng.standard_normal(lead + (n, 3, 3, cp))),
+        np.abs(rng.standard_normal(lead + (n,))),
+        scores,
+    )
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+def _weighted_terms(gen, f_p, taps, bias, scores):
+    """The float64 terms s_n * m_n of each kernel's mask, (..., N, H, W)."""
+    stack = gen.apply_dynamic_kernel(f_p, taps, bias).data.astype(np.float64)
+    return scores.data.astype(np.float64)[..., None, None] * stack
+
+
 class TestAggregate:
-    def test_single_mask_identity(self, rng):
-        m = rng.standard_normal((8, 8))
-        y = aggregate(Tensor(m[None]), Tensor(np.array([1.0])))
-        assert np.array_equal(y.data, m)
+    """``aggregate`` runs the head as one conv with the score-weighted kernel;
+    ``composite_ops.taped_aggregate``, the mask stack and its weighted sum,
+    is the reference."""
 
-    def test_equal_scores_identical_masks(self, rng):
-        arr = rng.standard_normal((6, 6))
-        y = aggregate(Tensor(np.stack([arr] * 4)), Tensor(np.full(4, 0.25)))
-        assert np.allclose(y.data, arr)
+    def test_single_mask_identity(self, tiny_cfg, rng):
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        f_p, taps, bias, _ = _head_inputs(rng, (), 1, np.float64)
+        y = aggregate(f_p, taps, bias, Tensor(np.array([1.0])))
+        m = gen.apply_dynamic_kernel(f_p, taps, bias).data[0]
+        assert np.abs(y.data - m).max() <= 1e-12 * np.abs(m).max()
 
-    def test_matches_weighted_sum_oracle(self, rng):
-        masks = rng.standard_normal((3, 5, 7))
-        w = rng.random(3)
-        w /= w.sum()
-        y = aggregate(Tensor(masks), Tensor(w))
-        expected = sum(wi * m for wi, m in zip(w, masks))
-        assert np.allclose(y.data, expected, atol=1e-12)
+    def test_equal_scores_identical_masks(self, tiny_cfg, rng):
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        f_p, taps, bias, _ = _head_inputs(rng, (), 1, np.float64)
+        four = (Tensor(np.repeat(t.data, 4, axis=0)) for t in (taps, bias))
+        y = aggregate(f_p, *four, Tensor(np.full(4, 0.25)))
+        m = gen.apply_dynamic_kernel(f_p, taps, bias).data[0]
+        assert np.abs(y.data - m).max() <= 1e-12 * np.abs(m).max()
+
+    def test_matches_weighted_sum_oracle(self, tiny_cfg, rng):
+        """float64 y is within 1e-12 of the float64 sum of s_n * m_n, and
+        float32 y within 16 float32 roundings of the sum of |s_n * m_n|,
+        relative to that sum at each pixel."""
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        for trial in range(20):
+            lead = () if trial % 2 else (3,)
+            inputs64 = _head_inputs(rng, lead, 8, np.float64)
+            for dtype, bound in ((np.float64, 1e-12), (np.float32, 16 * np.finfo(np.float32).eps)):
+                inputs = [Tensor(t.data.astype(dtype)) for t in inputs64]
+                y = aggregate(*inputs).data
+                assert y.dtype == dtype and y.shape == lead + (8, 7)
+                terms = _weighted_terms(gen, *(Tensor(t.data.astype(np.float64)) for t in inputs))
+                err = np.abs(y.astype(np.float64) - terms.sum(axis=-3))
+                assert np.all(err <= bound * np.abs(terms).sum(axis=-3)), (trial, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["full", "no_estimator"])
+    def test_batched_equals_single_bit_for_bit(self, rng, dtype, mode):
+        f_p, taps, bias, scores = _head_inputs(rng, (4,), 8, dtype, h=16, w=16, cp=16)
+        if mode == "no_estimator":
+            scores = Tensor(np.ones((4, 8), dtype=dtype))
+        batched = aggregate(f_p, taps, bias, scores).data
+        for j in range(4):
+            single = aggregate(*(Tensor(t.data[j]) for t in (f_p, taps, bias, scores))).data
+            assert batched[j].tobytes() == single.tobytes(), j
+
+    @pytest.mark.parametrize("mode", ["full", "no_estimator"])
+    def test_taped_output_and_gradients_match_chain(self, tiny_cfg, rng, mode):
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        inputs = _head_inputs(rng, (2,), 3, np.float64)
+        if mode == "no_estimator":
+            inputs[3] = Tensor(np.ones((2, 3)))
+        proj = Tensor(rng.standard_normal((2, 8, 7)))
+        outs = []
+        for head in (aggregate, functools.partial(taped_aggregate, gen)):
+            for t in inputs:
+                t.grad = None
+            with ad.Tape() as tape:
+                y = head(*inputs)
+                loss = ad.tsum(ad.mul(y, proj))
+            ad.backward(tape, loss)
+            outs.append([y.data] + [t.grad for t in inputs])
+        for name, g, ref in zip(("y", "f_p", "taps", "bias", "scores"), *outs):
+            if ref is None:
+                assert g is None and mode == "no_estimator", name
+                continue
+            assert g.shape == ref.shape and np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_mismatched_shapes_rejected(self, rng):
+        f_p, taps, bias, scores = _head_inputs(rng, (), 3, np.float64)
+        with pytest.raises(DimensionError):
+            aggregate(f_p, taps, bias, Tensor(scores.data[:2]))
+        with pytest.raises(DimensionError):
+            aggregate(Tensor(f_p.data[..., :2]), taps, bias, scores)
 
 
 class TestFullModel:
@@ -260,6 +340,37 @@ class TestFullModel:
         assert np.array_equal(bundle.scores.data, np.ones_like(bundle.scores.data))
         expected = sum(m.data for m in bundle.masks)
         assert np.allclose(bundle.y.data, expected, atol=1e-12)
+
+    def test_forward_runs_no_mask_stack_until_masks_are_read(self, setup, tiny_cfg, monkeypatch):
+        """y comes from one 1-channel conv per sample: no forward runs the
+        N_q-channel conv of the mask stack, the model's only conv with a
+        kernel per sample.  The first read of ``masks`` runs it once,
+        untaped."""
+        model, image, tokens = setup
+        kernels, applied = [], []
+        conv, apply = ad.conv2d, MaskGenerator.apply_dynamic_kernel
+
+        def recording_conv(x, kernel, *args, **kwargs):
+            kernels.append(kernel.shape)
+            return conv(x, kernel, *args, **kwargs)
+
+        def recording_apply(gen, f_p, taps, bias):
+            applied.append(taps.shape)
+            return apply(gen, f_p, taps, bias)
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv)
+        monkeypatch.setattr(MaskGenerator, "apply_dynamic_kernel", recording_apply)
+        for mode in ("full", "no_estimator", "no_fvg"):
+            with ad.Tape() as tape:
+                bundle = model.forward(image, tokens, mode=mode)
+                nodes = len(tape)
+                assert not applied and kernels and all(len(k) == 4 for k in kernels), kernels
+                masks = bundle.masks
+                assert len(tape) == nodes
+            assert applied == [(tiny_cfg.num_queries, 3, 3, tiny_cfg.kernel_channels)]
+            assert len(masks) == tiny_cfg.num_queries and bundle.masks is masks
+            kernels.clear()
+            applied.clear()
 
     def test_no_fvg_mode_changes_output(self, setup):
         model, image, tokens = setup

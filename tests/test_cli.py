@@ -105,6 +105,29 @@ def test_train_resume_continues(tmp_path, dataset):
     assert state2.step == 4
 
 
+def test_dump_masks_writes_the_bytes_of_apply_dynamic_kernel(tmp_path, dataset):
+    """The forward that makes y runs no mask stack; dump-masks' per-query
+    maps are still each kernel's map as ``apply_dynamic_kernel`` makes it
+    from the checkpoint's model, byte for byte."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path, dataset, out))]) == 0
+    ckpt = out / "checkpoint.eavc"
+    mask_dir = tmp_path / "masks"
+    assert main(["dump-masks", "--checkpoint", str(ckpt), "--data", str(dataset),
+                 "--split", "val", "--sample", "1", "--out", str(mask_dir)]) == 0
+    _, state, _ = load_checkpoint(ckpt)
+    model, sample = state.model, load_split(dataset, "val")[1]
+    tokens = model.tokenize(sample.expression)
+    text = model.text_encoder(tokens)
+    feats = model.image_encoder(Tensor(np.asarray(sample.image, dtype=model.dtype)))
+    f_q = model.query_gen(feats, text, tokens, use_fvg=True).f_q
+    f_p = model.mask_gen.project_fp(model.decoder(model.neck(feats, text.f_tg), f_q))
+    stack = model.mask_gen.apply_dynamic_kernel(f_p, *model.mask_gen.kernel_from_query(f_q)).data
+    assert stack.dtype == np.float32 and len(stack) == 2
+    for n, ref in enumerate(stack):
+        assert read_tensor(mask_dir / f"mask{n}.eavt").tobytes() == ref.tobytes(), n
+
+
 def test_dump_masks_and_attention(tmp_path, dataset, capsys):
     out = tmp_path / "run"
     cfg = tiny_config_file(tmp_path, dataset, out)

@@ -210,6 +210,14 @@ def test_missing_image_names_file_and_line(tmp_path):
         load_split(tmp_path, "train")
 
 
+def test_truncated_image_names_file_and_line(tmp_path):
+    sdir = _saved_train_split(tmp_path)
+    path = sdir / "images" / "00001.ppm"
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(ConfigError, match=r"samples\.jsonl line 2: .*00001\.ppm: truncated"):
+        load_split(tmp_path, "train")
+
+
 def test_mask_of_another_size_than_its_image_names_file_and_line(tmp_path):
     sdir = _saved_train_split(tmp_path)
     write_pgm(sdir / "masks" / "00002.pgm", np.zeros((4, 4), dtype=np.uint8))
