@@ -521,26 +521,42 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return win.reshape(*lead, h * w, k * k * c)
 
 
+CONV_F64_RUN = 65536  # product elements per multiply of the float64 conv; sizes its scratch array
+
+
 def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
-    # Accumulates taps in (dy, dx, cin) order per output element, matching a
-    # scalar reference loop bit-for-bit in any precision.  A per-sample
-    # kernel (B, k, k, Cin, Cout) and bias (B, Cout) broadcast over H and W.
-    *lead, h, w, _ = x.shape
-    per_sample = k.ndim == 5
-    if per_sample:
-        k = k[:, None, None]  # (B, 1, 1, k, k, Cin, Cout)
-        if b is not None:
-            b = b[:, None, None, :]
-    kk = k.shape[-4]
+    # The bias (or +0.0), then one product per tap row (dy, dx, ci) added in
+    # that order: a scalar reference loop's sum, bit for bit.  One multiply
+    # makes a run of rows' products (at most CONV_F64_RUN elements); only the
+    # adds go row by row.  Channels-first (..., Cout, H*W) products keep the
+    # multiply's inner loop along the map.  A per-sample kernel (B, k, k,
+    # Cin, Cout) and bias (B, Cout) broadcast over H and W.
+    *lead, h, w, cin = x.shape
+    kk, cout = k.shape[-4], k.shape[-1]
+    n = kk * kk * cin
+    if k.ndim == 5:
+        kv = np.moveaxis(k.reshape(k.shape[0], n, cout), 1, 0)[..., None]  # (n, B, Cout, 1)
+    else:
+        kv = k.reshape(n, *(1,) * len(lead), cout, 1)
     xp = _pad_spatial(x, pad)
-    shape = (*lead, h, w, k.shape[-1])
-    acc = np.zeros(shape, dtype=x.dtype) if b is None else np.broadcast_to(b, shape).copy()
-    for dy in range(kk):
-        for dx in range(kk):
-            patch = xp[..., dy : dy + h, dx : dx + w, :]
-            for ci in range(k.shape[-2]):
-                acc += patch[..., ci : ci + 1] * k[..., dy, dx, ci, :]
-    return acc
+    *lead_st, sy, sx, sc = xp.strides
+    # one copy of the padded map: row (dy, dx, ci) is its (..., 1, H*W) window
+    rows = np.lib.stride_tricks.as_strided(
+        xp, (kk, kk, cin, *lead, 1, h, w), (sy, sx, sc, *lead_st, 0, sy, sx), writeable=False
+    ).reshape(n, *lead, 1, h * w)
+    shape = (*lead, cout, h * w)
+    acc = np.zeros(shape, dtype=x.dtype)
+    if b is not None:
+        acc[...] = b[..., None]
+    run = max(1, CONV_F64_RUN // max(acc.size, 1))
+    prods = np.empty((min(run, n), *shape), dtype=x.dtype)
+    for lo in range(0, n, run):
+        part = prods[: min(run, n - lo)]
+        np.multiply(rows[lo : lo + run], kv[lo : lo + run], out=part)
+        for row in part:
+            acc += row
+    # channels-last and C-ordered: reductions downstream sum in memory order
+    return np.ascontiguousarray(np.swapaxes(acc, -1, -2)).reshape(*lead, h, w, cout)
 
 
 def _conv_forward_taps(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
@@ -575,9 +591,10 @@ def conv2d(
     ``kernel`` is (k, k, Cin, Cout) with odd k, shared by every sample, or
     (B, k, k, Cin, Cout) with one kernel per sample of a batched map; the
     bias is (Cout,) or (B, Cout) to match.  Zero padding of (k-1)//2.
-    The double-precision forward accumulates taps in a fixed order and is
-    bit-reproducible against a naive per-pixel loop; it ignores
-    ``accumulate``.
+    The double-precision forward equals a naive per-pixel loop bit for bit
+    and ignores ``accumulate``: one multiply makes the products of a run of
+    (dy, dx, cin) tap rows, and they are added into the bias one row at a
+    time in that order, so every output is the loop's sum.
 
     A single-precision forward sums in ``accumulate``, float64 or float32.
     With the default float64 each output is within one rounding of the

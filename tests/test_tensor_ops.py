@@ -153,7 +153,7 @@ def test_conv_matches_naive_loop_exactly(rng):
     k = rng.standard_normal((3, 3, 2, 3))
     b = rng.standard_normal(3)
     out = ad.conv2d(Tensor(x), Tensor(k), Tensor(b))
-    assert np.array_equal(out.data, naive_conv(x, k, b))
+    assert out.data.tobytes() == naive_conv(x, k, b).tobytes()
 
 
 def test_conv_bitexact_double_many_shapes(rng):
@@ -167,7 +167,43 @@ def test_conv_bitexact_double_many_shapes(rng):
         k = rng.standard_normal((kk, kk, ci, co))
         b = rng.standard_normal(co)
         out = ad.conv2d(Tensor(x), Tensor(k), Tensor(b))
-        assert np.array_equal(out.data, naive_conv(x, k, b))
+        assert out.data.tobytes() == naive_conv(x, k, b).tobytes()
+
+
+def _double_conv_edge_cases(rng):
+    """(x, kernel, bias) float64 cases, kernel and bias per sample when the
+    kernel has 5 axes: 1x1 maps with one output channel, all -0.0 maps with a
+    -0.0 bias and with none, a product that overflows, k=1 and k=3, and
+    batched maps with shared and per-sample kernels."""
+    normal = rng.standard_normal
+    for kk in (1, 3):
+        yield normal((1, 1, 3)), normal((kk, kk, 3, 1)), normal(1)
+        yield normal((1, 1, 1)), normal((kk, kk, 1, 1)), None
+        for b, per_sample_b in ((np.full(2, -0.0), np.full((2, 2), -0.0)), (None, None)):
+            yield np.full((3, 2, 2), -0.0), normal((kk, kk, 2, 2)), b
+            yield np.full((2, 3, 2, 2), -0.0), normal((2, kk, kk, 2, 2)), per_sample_b
+        yield np.full((2, 2, 1), 1e300), np.full((kk, kk, 1, 1), 1e10), normal(1)
+        yield normal((3, 5, 4, 3)), normal((kk, kk, 3, 2)), normal(2)
+        yield normal((3, 4, 5, 3)), normal((3, kk, kk, 3, 2)), normal((3, 2))
+        yield normal((3, 4, 5, 3)), normal((3, kk, kk, 3, 2)), None
+
+
+@pytest.mark.parametrize("run", [ad.CONV_F64_RUN, 40, 7])  # 40 and 7: sums cross run boundaries
+def test_double_conv_bytes_equal_naive_loop_on_edge_cases(run, rng, monkeypatch):
+    # byte equality also tells -0.0 from +0.0, which np.array_equal does not
+    monkeypatch.setattr(ad, "CONV_F64_RUN", run)
+    for x, k, b in _double_conv_edge_cases(rng):
+        with np.errstate(over="ignore"):
+            out = ad.conv2d(Tensor(x), Tensor(k), None if b is None else Tensor(b)).data
+            if x.ndim == 3:
+                ref = naive_conv(x, k, b)
+            elif k.ndim == 4:
+                ref = np.stack([naive_conv(xj, k, b) for xj in x])
+            else:
+                ref = np.stack([naive_conv(x[j], k[j], None if b is None else b[j]) for j in range(len(x))])
+        assert out.tobytes() == ref.tobytes(), (x.shape, k.shape, b is None)
+        # C order too: numpy's sums downstream round by memory layout
+        assert out.flags.c_contiguous
 
 
 def test_conv_channel_mismatch():
