@@ -29,7 +29,9 @@ def grad_check(
     run it in double precision for the comparison to be meaningful.  With
     ``sample_per_param`` set, only that many randomly chosen entries of each
     parameter are checked (seeded through ``rng``), which keeps large models
-    tractable.  Relative error uses denominator max(|a|, |b|, 1e-8).
+    tractable.  Relative error uses denominator max(|a|, |b|, 1e-8).  A
+    non-finite gradient, taped (sampled or not) or numeric, makes the result
+    NaN, which fails every ``err < bound`` test.
     """
     with ad.Tape() as tape:
         out = f()
@@ -42,7 +44,7 @@ def grad_check(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
+    worst = 0.0 if all(np.isfinite(g).all() for g in analytic.values()) else np.nan
     for p in params:
         flat = p.value.data.reshape(-1)
         n = flat.size
@@ -60,5 +62,5 @@ def grad_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             denom = max(abs(numeric), abs(an[i]), 1e-8)
-            worst = max(worst, abs(numeric - an[i]) / denom)
-    return worst
+            worst = np.maximum(worst, abs(numeric - an[i]) / denom)  # NaN propagates
+    return float(worst)

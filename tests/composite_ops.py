@@ -1,7 +1,9 @@
 """Taped ops the model does not use, kept for tests that build reference
 compositions (layer norm as a chain of primitive ops, a composite gradient
 check, attention as a chain of taped ops, the mask head as a mask stack and
-a weighted sum).  They follow ``refseg.autodiff``'s node protocol."""
+a weighted sum).  They follow ``refseg.autodiff``'s node protocol.  Also the
+gradient suite's image-head and model checks as closures that share no
+forward, the reference for the suite's forward reuse."""
 
 import math
 
@@ -9,8 +11,13 @@ import numpy as np
 
 from refseg import autodiff as ad
 from refseg.autodiff import Tensor
+from refseg.data import GrammarConfig, generate_scene, vocabulary_for
+from refseg.encoders import ImageEncoder
 from refseg.errors import DimensionError
-from refseg.nn import linear
+from refseg.gradsuite import BLOCK_EPS, _sparse, tiny_config
+from refseg.metrics import bce_loss, downsample_mask_nearest
+from refseg.model import Model
+from refseg.nn import ParamStore, linear
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -92,3 +99,43 @@ def taped_aggregate(gen, f_p: Tensor, taps: Tensor, bias: Tensor, scores: Tensor
     stack = gen.apply_dynamic_kernel(f_p, taps, bias)
     weights = ad.reshape(scores, scores.shape + (1, 1))
     return ad.tsum(ad.mul(stack, weights), axis=-3)
+
+
+def unshared_image_checks(cfg, sample, rng) -> list:
+    """The four image-encoder head checks with one encoder and one set of
+    forwards per head, each head drawing its projection from ``rng`` on its
+    first call.  The reference for ``gradsuite._image_checks``."""
+
+    def image_block(head):
+        store = ParamStore(dtype=np.float64, seed=6)
+        enc = ImageEncoder(store, cfg)
+        img = Tensor(np.asarray(sample.image, dtype=np.float64))
+        proj = {}
+
+        def f():
+            out = enc(img)
+            t = {"v2": out.f_v2, "v3": out.f_v3, "v4": out.f_v4, "vg": out.f_vg}[head]
+            if "w" not in proj:
+                proj["w"] = _sparse(t.shape, rng)
+            return ad.tsum(ad.mul(t, proj["w"]))
+
+        return (f"block.image_encoder.{head}", f, store.parameters(), BLOCK_EPS)
+
+    return [image_block(head) for head in ("v2", "v3", "v4", "vg")]
+
+
+def unshared_end_to_end_check():
+    """The model check with both encoders run on every forward.  The
+    reference for ``gradsuite.end_to_end_check``."""
+    cfg = tiny_config()
+    grammar = GrammarConfig(image_size=cfg.image_size, max_shapes=3)
+    sample = generate_scene(23, grammar)
+    model = Model(cfg, vocabulary_for(grammar), seed=12)
+    tokens = model.tokenize(sample.expression)
+    image = Tensor(np.asarray(sample.image, dtype=np.float64))
+    gt = downsample_mask_nearest(sample.gt_mask, (cfg.mask_size, cfg.mask_size))
+
+    def f():
+        return bce_loss(model.forward(image, tokens, mode="full").y, gt)
+
+    return ("model.end_to_end", f, model.parameters(), model)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from refseg import autodiff as ad
-from refseg.autodiff import Tape, Tensor, backward
+from refseg.autodiff import Parameter, Tape, Tensor, backward
 from refseg.errors import DimensionError, NumericalError
 from refseg.gradcheck import grad_check
 from refseg.nn import MultiHeadAttention, ParamStore
 
-from composite_ops import taped_attention
+from composite_ops import powc, taped_attention
 
 
 def randn_param(store, name, shape, rng):
@@ -129,6 +129,23 @@ def test_gradcheck_constant_function_both_zero(rng):
     c = Tensor(np.ones(1))
     err = grad_check(lambda: ad.tsum(c), [w])
     assert err == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gradcheck_non_finite_gradient_is_nan(bad):
+    x = Parameter("x", Tensor(np.array([0.5, -1.0, 2.0])))
+    c = Tensor(np.array([1.0, bad, 2.0]))
+    assert np.isnan(grad_check(lambda: ad.tsum(ad.mul(x.value, c)), [x]))
+
+
+def test_gradcheck_non_finite_unsampled_tape_gradient_is_nan():
+    # d sqrt(x)/dx is inf at x = 0; the one sampled entry is another one,
+    # whose own central difference is finite
+    x = Parameter("x", Tensor(np.array([0.0, 1.0, 4.0, 9.0])))
+    assert np.random.default_rng(0).choice(4, size=1, replace=False)[0] != 0
+    with np.errstate(divide="ignore"):
+        err = grad_check(lambda: ad.tsum(powc(x.value, 0.5)), [x], sample_per_param=1, rng=np.random.default_rng(0))
+    assert np.isnan(err)
 
 
 def test_mhsa_single_row_attention_weight_is_one(rng, attention_weights):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 
@@ -70,3 +71,36 @@ def test_parse_slow_tier_times_each_criterion():
         "report": "mean IoU 0.8768 at step 1000",
     }
     assert criteria["8"]["outcome"] == "failed" and criteria["8"]["report"] is None
+
+
+def test_criterion_1_is_recorded_apart_from_the_slow_tier(monkeypatch, tmp_path):
+    bench_record = load_bench_record()
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        if "pytest" not in cmd:  # git
+            return subprocess.CompletedProcess(cmd, 0, stdout="")
+        xml_path = Path(next(a for a in cmd if a.startswith("--junitxml=")).split("=", 1)[1])
+        if "tests/test_acceptance.py::test_criterion_1_gradient_suite" in cmd:
+            case, stdout = "test_criterion_1_gradient_suite", "PASS criterion 1: 34 blocks, worst x=6.17e-05, 2s\n"
+        else:
+            case, stdout = "test_criterion_7_overfit_desk_config", ".PASS criterion 7: mean IoU 0.8751 at step 1000\n"
+        xml_path.write_text(f'<testsuite><testcase name="{case}" time="2.31"/></testsuite>')
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "run_benchmark", lambda threads, trace: {"correct": True, "exit_code": 0})
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["correct"] is True
+    assert record["slow_tier"]["command"] == "pytest -m slow -s tests/test_acceptance.py"
+    assert list(record["slow_tier"]["criteria"]) == ["7"]
+    c1 = record["criterion_1"]
+    assert c1["command"] == "pytest -s tests/test_acceptance.py::test_criterion_1_gradient_suite"
+    assert c1["exit_code"] == 0 and isinstance(c1["wall_s"], float)
+    assert c1["criteria"] == {"1": {"test": "test_criterion_1_gradient_suite", "wall_s": 2.3,
+                                    "outcome": "passed", "report": "34 blocks, worst x=6.17e-05, 2s"}}
+    pytest_runs = [cmd for cmd in commands if "pytest" in cmd]
+    assert len(pytest_runs) == 2 and "slow" not in pytest_runs[1]

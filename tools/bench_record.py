@@ -10,8 +10,10 @@ It runs the benchmark over all four workloads three times:
 
 Then it runs the slow acceptance tier once and records each criterion's
 wall time (its set-up included, so criterion 8 carries the trend fixture
-that criterion 9 reuses) and the line it printed.  Run it from the
-repository root:
+that criterion 9 reuses) and the line it printed, and does the same for
+criterion 1, the gradient suite, in a pytest run of its own (under
+``criterion_1``, apart from the slow tier's).  Run it from the repository
+root:
 
     python3 tools/bench_record.py                 # writes the next BENCH_<n>.json
     python3 tools/bench_record.py --out bench.json
@@ -22,8 +24,8 @@ with the last.
 The record names the git commit it ran on, whether the tree had local
 changes, and a SHA-256 over ``src/`` so that a record made before a commit
 still identifies the code it measured.  A run whose benchmark fails a check
-or whose slow tier fails is still written, with ``correct`` false and the
-exit code of the failing command.
+or whose acceptance tests fail is still written, with ``correct`` false and
+the exit code of the failing command.
 """
 
 from __future__ import annotations
@@ -108,19 +110,29 @@ def parse_slow_tier(junit_xml: str, stdout: str) -> dict:
     return criteria
 
 
-def run_slow_tier() -> dict:
+def run_acceptance(*selection: str) -> dict:
+    """One pytest run of the acceptance tests that ``selection`` picks: its
+    wall time and, per criterion, what ``parse_slow_tier`` reads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as work:
-        xml_path = Path(work) / "slow.xml"
-        cmd = [sys.executable, "-m", "pytest", "-m", "slow", "-s", "-q", "-p", "no:cacheprovider",
-               f"--junitxml={xml_path}", "tests/test_acceptance.py"]
+        xml_path = Path(work) / "acceptance.xml"
+        cmd = [sys.executable, "-m", "pytest", *selection, "-q", "-p", "no:cacheprovider", f"--junitxml={xml_path}"]
         start = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
         wall_s = round(time.perf_counter() - start, 1)
         criteria = parse_slow_tier(xml_path.read_text(), proc.stdout) if xml_path.exists() else {}
-    return {"command": "pytest -m slow -s tests/test_acceptance.py", "exit_code": proc.returncode,
+    return {"command": " ".join(["pytest", *selection]), "exit_code": proc.returncode,
             "wall_s": wall_s, "criteria": criteria}
+
+
+def run_slow_tier() -> dict:
+    return run_acceptance("-m", "slow", "-s", "tests/test_acceptance.py")
+
+
+def run_criterion_1() -> dict:
+    """The gradient suite's gate alone: it is not in the slow tier."""
+    return run_acceptance("-s", "tests/test_acceptance.py::test_criterion_1_gradient_suite")
 
 
 def git(*args: str) -> str:
@@ -161,9 +173,12 @@ def main(argv=None) -> int:
         record["benchmark"][label] = run_benchmark(threads, trace)
     print("bench_record: slow tier", file=sys.stderr, flush=True)
     record["slow_tier"] = run_slow_tier()
+    print("bench_record: criterion 1", file=sys.stderr, flush=True)
+    record["criterion_1"] = run_criterion_1()
     record["correct"] = (
         all(r["correct"] and r["exit_code"] == 0 for r in record["benchmark"].values())
         and record["slow_tier"]["exit_code"] == 0
+        and record["criterion_1"]["exit_code"] == 0
     )
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(out)
