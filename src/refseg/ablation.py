@@ -74,6 +74,26 @@ class AblationReport:
                     "median_overall_iou": r.median_overall_iou,
                 }
             )
+        return records + self.delta_records()
+
+    def delta_records(self) -> list:
+        """One record per variant other than ``full``: its ``mean_iou`` minus
+        ``full``'s, paired by seed, with the count of positive and of negative
+        deltas and their min and max.  Empty without a ``full`` variant; a
+        variant that shares no seed with ``full`` has no record."""
+        full = {r.label: r for r in self.results}.get("full")
+        base = dict(zip(full.seeds, full.reports)) if full else {}
+        records = []
+        for r in self.results:
+            pairs = [(s, rep.mean_iou - base[s].mean_iou) for s, rep in zip(r.seeds, r.reports) if s in base]
+            if r is full or not pairs:
+                continue
+            d = [x for _, x in pairs]
+            records.append({
+                "variant": r.label, "paired_with": "full", "seeds": [s for s, _ in pairs], "delta_mean_iou": d,
+                "delta_positive": sum(x > 0 for x in d), "delta_negative": sum(x < 0 for x in d),
+                "delta_min": min(d), "delta_max": max(d),
+            })
         return records
 
     def to_text_table(self) -> str:
@@ -88,9 +108,17 @@ class AblationReport:
                 [r.label, f"{r.median_overall_iou:.4f}", f"{r.median_mean_iou:.4f}"]
                 + [f"{med_pr[t]:.4f}" for t in PRECISION_THRESHOLDS]
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
-        return "\n".join(lines)
+        deltas = [["variant", "mean_iou - full, by seed", "+/-", "min", "max"]] + [
+            [d["variant"], " ".join(f"{s}:{x:+.4f}" for s, x in zip(d["seeds"], d["delta_mean_iou"])),
+             f"{d['delta_positive']}/{d['delta_negative']}", f"{d['delta_min']:+.4f}", f"{d['delta_max']:+.4f}"]
+            for d in self.delta_records()
+        ]
+        return _aligned(rows) + ("\n\n" + _aligned(deltas) if len(deltas) > 1 else "")
+
+
+def _aligned(rows: list) -> str:
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 def run_ablation(

@@ -16,6 +16,7 @@ from .autodiff import Tape, Tensor, backward
 from .config import ModelConfig
 from .data import GrammarConfig, generate_scene, vocabulary_for
 from .encoders import ImageEncoder, ImageFeatures, TextEncoder, TextFeatures, tokenize
+from .errors import ConfigError
 from .gradcheck import grad_check
 from .metrics import bce_loss, downsample_mask_nearest
 from .model import Model
@@ -64,26 +65,29 @@ def _feature_shapes(cfg) -> list:
 
 
 class ForwardCache:
-    """Runs ``fn``, a function of ``params`` alone (its inputs fixed), once
-    per parameter state.  A state is keyed exactly by the entries whose bits
-    differ from their values at construction (so -0.0 and +0.0 differ).  A
-    taped call always runs ``fn``, so its tape records the nodes, and stores
-    the result for the untaped calls that share its state."""
+    """Runs ``fn`` once per state of ``arena``, a slice of a packed store's
+    arena that determines ``fn``'s result, keyed exactly by the indices and
+    ``uint64`` bits of the entries that differ from their values at
+    construction (so -0.0 and +0.0 differ).  A taped call always runs ``fn``,
+    so its tape records the nodes, and stores the result for its state."""
 
-    def __init__(self, fn, params) -> None:
-        self.fn, self.params, self.results = fn, params, {}
-        self.start = self._bits()
+    def __init__(self, fn, arena: np.ndarray) -> None:
+        self.fn, self.bits, self.results = fn, arena.view(np.uint64), {}
+        self.start = self.bits.copy()
 
-    def _bits(self) -> np.ndarray:
-        return np.concatenate([p.value.data for p in self.params], axis=None).view(np.uint64)
-
-    def __call__(self):
-        bits = self._bits()
-        idx = np.flatnonzero(bits != self.start)
-        key = idx.tobytes() + bits[idx].tobytes()
+    def __call__(self, *args, **kwargs):
+        idx = np.flatnonzero(self.bits != self.start)
+        key = idx.tobytes() + self.bits[idx].tobytes()
         if ad._TAPE_STACK or key not in self.results:
-            self.results[key] = self.fn()
+            self.results[key] = self.fn(*args, **kwargs)
         return self.results[key]
+
+
+# Model.forward's stages in its order: (Model attribute, prefix of its own
+# parameters).  Only the first FIXED_INPUT_STAGES read no earlier stage.
+MODEL_STAGES = (("text_encoder", "text."), ("image_encoder", "image."), ("neck", "neck."),
+                ("query_gen", "queries."), ("decoder", "decoder."))
+FIXED_INPUT_STAGES = 2
 
 
 def _param(store, name, shape, rng):
@@ -278,14 +282,20 @@ def _image_checks(cfg, sample, rng) -> list:
     store = ParamStore(dtype=np.float64, seed=6)
     enc = ImageEncoder(store, cfg)
     img = Tensor(np.asarray(sample.image, dtype=np.float64))
+    store.pack()
     proj = [_sparse(shape, rng) for shape in _feature_shapes(cfg)]  # f_v2, f_v3, f_v4, f_vg: field order
     params = store.parameters()
-    shared = ForwardCache(lambda: [ad.tsum(ad.mul(t, w)) for t, w in zip(vars(enc(img)).values(), proj)], params)
+    shared = ForwardCache(lambda: [ad.tsum(ad.mul(t, w)) for t, w in zip(vars(enc(img)).values(), proj)], store.arena)
     heads = ("v2", "v3", "v4", "vg")
     return [(f"block.image_encoder.{h}", lambda i=i: shared()[i], params, BLOCK_EPS) for i, h in enumerate(heads)]
 
 
 def end_to_end_check():
+    """The tiny model's loss over all its parameters.  Each ``MODEL_STAGES``
+    stage runs in a ``ForwardCache`` keyed on its own parameters if its input
+    is fixed, else on the arena from its start through its own parameters.
+    Raises ``ConfigError`` unless each stage's parameters are one run of the
+    arena after the previous stage's, so a stale output can never be served."""
     cfg = tiny_config()
     grammar = GrammarConfig(image_size=cfg.image_size, max_shapes=3)
     vocab = vocabulary_for(grammar)
@@ -294,16 +304,20 @@ def end_to_end_check():
     tokens = model.tokenize(sample.expression)
     image = Tensor(np.asarray(sample.image, dtype=np.float64))
     gt = downsample_mask_nearest(sample.gt_mask, (cfg.mask_size, cfg.mask_size))
-    params = model.parameters()
-
-    # fixed inputs: each encoder reruns only when one of its own parameters moved
-    text = ForwardCache(lambda enc=model.text_encoder: enc(tokens), [p for p in params if p.name.startswith("text.")])
-    vision = ForwardCache(lambda enc=model.image_encoder: enc(image), [p for p in params if p.name.startswith("image.")])
-    model.text_encoder = lambda _tokens: text()
-    model.image_encoder = lambda _image: vision()
+    params, offsets, end, caches = model.parameters(), model.store.offsets, 0, []
+    for k, (attr, prefix) in enumerate(MODEL_STAGES):
+        own = [i for i, p in enumerate(params) if p.name.startswith(prefix)]
+        if not own or own != list(range(end, end + len(own))):
+            raise ConfigError(f"stage {attr!r}: its {prefix}* parameters do not follow the previous stage's")
+        lo, end = offsets[end] if k < FIXED_INPUT_STAGES else 0, end + len(own)
+        hi = offsets[end - 1] + params[end - 1].value.size
+        caches.append(ForwardCache(getattr(model, attr), model.store.arena[lo:hi]))
+        setattr(model, attr, caches[-1])
 
     def f():
         bundle = model.forward(image, tokens, mode="full")
+        for cache in caches:  # a perturbed state never recurs here: keep only the start's results
+            cache.results = {key: out for key, out in cache.results.items() if not key}
         return bce_loss(bundle.y, gt)
 
     return ("model.end_to_end", f, params, model)

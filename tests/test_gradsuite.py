@@ -1,7 +1,8 @@
 """The gradient suite's forward reuse: ``gradsuite.ForwardCache`` is a pure
 cache, so the suite gives the results of closures that share no forward
 (``composite_ops.unshared_image_checks`` and ``unshared_end_to_end_check``)
-while each encoder runs once per parameter state."""
+while each encoder, and each later model stage, runs once per state of its
+slice of the parameter arena."""
 
 from collections import defaultdict
 
@@ -10,19 +11,35 @@ import pytest
 
 from refseg import autodiff as ad
 from refseg import gradsuite
-from refseg.autodiff import Parameter, Tape, Tensor, backward
+from refseg.autodiff import Tape, backward
+from refseg.aligner import TransformerDecoder
 from refseg.encoders import ImageEncoder, TextEncoder
+from refseg.errors import ConfigError
 from refseg.gradsuite import ForwardCache, run_gradient_suite
+from refseg.neck import FusionNeck
+from refseg.nn import ParamStore, zeros_init
+from refseg.queries import QueryGenerator
 
 from composite_ops import unshared_end_to_end_check, unshared_image_checks
 
 HEADS = [f"block.image_encoder.{h}" for h in ("v2", "v3", "v4", "vg")]
+STAGE_CLASSES = (TextEncoder, ImageEncoder, FusionNeck, QueryGenerator, TransformerDecoder)
+
+
+def packed(values):
+    """A float64 store holding one parameter ``p`` set to ``values``, packed
+    into its arena; returns (store, p)."""
+    store = ParamStore(dtype=np.float64, seed=None)
+    p = store.parameter("p", np.shape(values), zeros_init)
+    store.pack()
+    p.value.data[...] = values
+    return store, p
 
 
 def test_cache_key_tells_signed_zeros_apart():
-    p = Parameter("p", Tensor(np.zeros(3)))
+    store, p = packed(np.zeros(3))
     runs = []
-    cache = ForwardCache(lambda: runs.append(p.value.data.tobytes()) or len(runs), [p])
+    cache = ForwardCache(lambda: runs.append(p.value.data.tobytes()) or len(runs), store.arena)
     assert cache() == 1 and cache() == 1
     p.value.data[1] = -0.0
     assert cache() == 2
@@ -33,14 +50,14 @@ def test_cache_key_tells_signed_zeros_apart():
 
 
 def test_taped_call_never_reads_the_cache():
-    p = Parameter("p", Tensor(np.array([1.0, -2.0])))
+    store, p = packed(np.array([1.0, -2.0]))
     runs = []
 
     def fn():
         runs.append(1)
         return ad.tsum(ad.mul(p.value, p.value))
 
-    cache = ForwardCache(fn, [p])
+    cache = ForwardCache(fn, store.arena)
     untaped = cache()
     outs = []
     for _ in range(2):
@@ -56,11 +73,12 @@ def test_taped_call_never_reads_the_cache():
 
 @pytest.fixture(scope="module")
 def logged_suite():
-    """One suite pass that logs, for every untaped encoder call, the check
-    it ran in and the parameters of that check that differed from their
-    values when the check began (name and bytes)."""
+    """One suite pass that logs, for every untaped call of an encoder or a
+    later cached model stage, the check it ran in and the parameters of that
+    check that differed from their values when the check began (name and
+    bytes)."""
     checks = []  # (params, their bytes when the check began)
-    calls = defaultdict(list)  # (encoder class, check index) -> changed params per call
+    calls = defaultdict(list)  # (stage class, check index) -> changed params per call
     real_grad_check = gradsuite.grad_check
 
     def grad_check(f, params, **kwargs):
@@ -70,20 +88,20 @@ def logged_suite():
     def logged(cls):
         call = cls.__call__
 
-        def wrapper(self, x):
+        def wrapper(self, *args, **kwargs):
             if not ad._TAPE_STACK:
                 params, start = checks[-1]
                 changed = tuple((p.name, p.value.data.tobytes()) for p, s in zip(params, start)
                                 if p.value.data.tobytes() != s)
                 calls[cls.__name__, len(checks) - 1].append(changed)
-            return call(self, x)
+            return call(self, *args, **kwargs)
 
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gradsuite, "grad_check", grad_check)
-        mp.setattr(ImageEncoder, "__call__", logged(ImageEncoder))
-        mp.setattr(TextEncoder, "__call__", logged(TextEncoder))
+        for cls in STAGE_CLASSES:
+            mp.setattr(cls, "__call__", logged(cls))
         results, zero_names = run_gradient_suite(e2e_sample_per_param=2)
     return results, zero_names, [params for params, _ in checks], calls
 
@@ -110,11 +128,57 @@ def test_image_heads_run_one_encoder_forward_per_parameter_state(logged_suite):
         assert calls["ImageEncoder", index[head]] == []
 
 
-@pytest.mark.parametrize("cls, prefix", [("TextEncoder", "text."), ("ImageEncoder", "image.")])
+# each model-check stage's own parameter prefix, and the prefixes of the
+# parameters in its arena range: an encoder's own, or everything created up
+# to the end of the stage's own parameters
+RANGES = {
+    "text.": ("text.",),
+    "image.": ("image.",),
+    "neck.": ("text.", "image.", "neck."),
+    "queries.": ("text.", "image.", "neck.", "queries."),
+    "decoder.": ("text.", "image.", "neck.", "queries.", "decoder."),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, prefix",
+    [
+        ("TextEncoder", "text."),
+        ("ImageEncoder", "image."),
+        ("FusionNeck", "neck."),
+        ("QueryGenerator", "queries."),
+        ("TransformerDecoder", "decoder."),
+    ],
+)
 def test_model_check_encoders_run_only_for_their_own_parameters(logged_suite, cls, prefix):
+    """Each cached stage runs untaped once per distinct state of the
+    parameters in its arena range, and only with one of them perturbed."""
     results, _, params, calls = logged_suite
     i = next(i for i, r in enumerate(results) if r.name == "model.end_to_end")
     states = calls[cls, i]
-    own = [p for p in params[i] if p.name.startswith(prefix)]
-    assert len(states) == len(set(states)) == 2 * sum(min(2, p.value.size) for p in own)
-    assert all(len(changed) == 1 and changed[0][0].startswith(prefix) for changed in states)
+    in_range = [p for p in params[i] if p.name.startswith(RANGES[prefix])]
+    assert len(states) == len(set(states)) == 2 * sum(min(2, p.value.size) for p in in_range)
+    assert all(len(changed) == 1 and changed[0][0].startswith(RANGES[prefix]) for changed in states)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: [t[0], t[1], t[3], t[2], t[4]],  # neck and query generator swapped
+        lambda t: [t[0]] + t[2:],  # the image encoder left out
+        lambda t: t[:4] + [("decoder", "aligner.")],  # a stage named by another's prefix
+    ],
+)
+def test_model_check_rejects_a_stage_table_out_of_arena_order(edit, monkeypatch):
+    monkeypatch.setattr(gradsuite, "MODEL_STAGES", edit(list(gradsuite.MODEL_STAGES)))
+    with pytest.raises(ConfigError, match="do not follow the previous stage's"):
+        gradsuite.end_to_end_check()
+
+
+def test_model_check_keeps_only_the_start_state_outputs():
+    """A perturbed state never recurs in the model check, so no stage keeps
+    its output once the next forward is done."""
+    _, f, params, model = gradsuite.end_to_end_check()
+    first = [next(p for p in params if p.name.startswith(prefix)) for prefix in ("text.", "image.")]
+    gradsuite.grad_check(f, first, eps=gradsuite.BLOCK_EPS, sample_per_param=1, rng=np.random.default_rng(0))
+    assert [list(getattr(model, attr).results) for attr, _ in gradsuite.MODEL_STAGES] == [[b""]] * 5

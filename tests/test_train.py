@@ -233,6 +233,33 @@ def test_train_digest_repeats_and_sees_one_ulp(tmp_path):
     assert tool.checkpoint_digest(work_b) == first_files
 
 
+def test_train_digest_per_mode_lines_repeat_and_move_alone(tmp_path):
+    tool = load_train_digest()
+    model_cfg = small_train_cfg().model
+    work_a, work_b = tmp_path / "a", tmp_path / "b"
+    work_a.mkdir()
+    work_b.mkdir()
+    runs = tool.train_runs(model_cfg, steps=1, batch=2, work=work_a)
+    first = tool.mode_digests(runs)
+    assert [line.split()[0] for line in first] == list(tool.TRAIN_MODES)
+    assert len({line.split()[1] for line in first}) == len(first)
+    assert tool.mode_digests(tool.train_runs(model_cfg, steps=1, batch=2, work=work_b)) == first
+
+    def moved():
+        return [a != b for a, b in zip(tool.mode_digests(runs), first)]
+
+    for k, (_, states, lines) in enumerate(runs):
+        only_k = [i == k for i in range(len(first))]
+        w = states[1].optimizer.v[states[1].model.parameters()[-1].name].reshape(-1)
+        w[-1] = np.nextafter(w[-1], np.inf)  # one moment entry of the loaded state
+        assert moved() == only_k
+        w[-1] = np.nextafter(w[-1], -np.inf)
+        lines.append("x")  # one more log line
+        assert moved() == only_k
+        lines.pop()
+        assert tool.mode_digests(runs) == first
+
+
 def test_batch_indices_deterministic_and_shuffled():
     a = [batch_indices(7, 10, 4, step) for step in range(6)]
     b = [batch_indices(7, 10, 4, step) for step in range(6)]

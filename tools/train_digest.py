@@ -5,16 +5,18 @@ modes, saves the state to a checkpoint and loads it back, then takes one
 more step on both the live and the loaded state.  It prints one SHA-256 over
 every parameter, ``Parameter.gradient``, ``opt.m``, ``opt.v`` (each by name,
 dtype and shape) of both states and all the log lines, then a second SHA-256
-over the bytes of the four checkpoint files.  A change that alters no float
-result, and keeps checkpoints bit-exact, must print the same two lines as its
-parent commit, so run it on both and compare:
+over the bytes of the four checkpoint files, then one ``<mode> <SHA-256>``
+line per mode over the fields the first line hashes for that mode.  A change
+that alters no float result, and keeps checkpoints bit-exact, must print the
+same lines as its parent commit, so run it on both and compare:
 
     PYTHONPATH=src python tools/train_digest.py --steps 3 --batch 4 --precision single
 
 A change confined to float32 rounding (a different sum order or accumulation
 dtype in a single-precision op) moves the ``--precision single`` digest but
 must still print its parent's ``--precision double`` digest.  A change to the
-checkpoint header or layout moves only the second line.
+checkpoint header or layout moves only the second line.  A change confined
+to one mode's training path moves the first line and that mode's line only.
 
 It uses only the public training API, so it runs unchanged on older commits.
 """
@@ -59,25 +61,42 @@ def train_runs(model_cfg: ModelConfig, steps: int, batch: int, work) -> list:
     return runs
 
 
-def digest(runs: list) -> str:
-    h = hashlib.sha256()
+def _hash_run(h, mode: str, states: tuple, lines: list) -> None:
+    """Feeds one mode's run to the hash ``h``: the mode, its log lines, then
+    every parameter, gradient and moment of both states."""
 
     def put(name: str, arr: np.ndarray) -> None:
         h.update(f"{name}|{arr.dtype.name}|{arr.shape}\n".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
 
-    for mode, states, lines in runs:
-        h.update(f"mode {mode}\n".encode())
-        for line in lines:
-            h.update(line.encode() + b"\n")
-        for which, state in zip(("live", "loaded"), states):
-            opt = state.optimizer
-            for p in sorted(state.model.parameters(), key=lambda p: p.name):
-                put(f"{which} param {p.name}", p.value.data)
-                put(f"{which} grad {p.name}", p.gradient)
-                put(f"{which} m {p.name}", opt.m[p.name])
-                put(f"{which} v {p.name}", opt.v[p.name])
+    h.update(f"mode {mode}\n".encode())
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    for which, state in zip(("live", "loaded"), states):
+        opt = state.optimizer
+        for p in sorted(state.model.parameters(), key=lambda p: p.name):
+            put(f"{which} param {p.name}", p.value.data)
+            put(f"{which} grad {p.name}", p.gradient)
+            put(f"{which} m {p.name}", opt.m[p.name])
+            put(f"{which} v {p.name}", opt.v[p.name])
+
+
+def digest(runs: list) -> str:
+    h = hashlib.sha256()
+    for run in runs:
+        _hash_run(h, *run)
     return h.hexdigest()
+
+
+def mode_digests(runs: list) -> list:
+    """One ``<mode> <SHA-256>`` line per mode, over that mode's share of
+    ``digest``'s fields."""
+    lines = []
+    for run in runs:
+        h = hashlib.sha256()
+        _hash_run(h, *run)
+        lines.append(f"{run[0]} {h.hexdigest()}")
+    return lines
 
 
 def checkpoint_digest(work) -> str:
@@ -96,8 +115,10 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     model_cfg = dataclasses.replace(ModelConfig(), precision=args.precision)
     with tempfile.TemporaryDirectory() as work:
-        print(digest(train_runs(model_cfg, args.steps, args.batch, work)))
+        runs = train_runs(model_cfg, args.steps, args.batch, work)
+        print(digest(runs))
         print(checkpoint_digest(work))
+        print("\n".join(mode_digests(runs)))
 
 
 if __name__ == "__main__":
