@@ -71,7 +71,8 @@ class TransformerDecoder:
 class MaskBundle:
     """Head outputs of one forward pass, of one sample or of a batch.  The
     dynamic heads' ``kernels`` (head, f_p, taps, bias) make ``masks`` on first
-    read, untaped, for dumps and checks; gradients flow through ``y``."""
+    read through ``apply_dynamic_kernel``, which records no tape node;
+    gradients flow through ``y``."""
 
     scores: Tensor     # (..., N_q) mask weights
     y: Tensor          # (..., 4S, 4S) aggregated logit map
@@ -83,7 +84,7 @@ class MaskBundle:
         """N_q mask logit maps, each (..., 4S, 4S); the fixed head's is ``y``."""
         if not self.kernels:
             return [self.y]
-        stack = self.kernels[0].apply_dynamic_kernel(*(Tensor(t.data) for t in self.kernels[1:]))
+        stack = self.kernels[0].apply_dynamic_kernel(*self.kernels[1:])
         return [Tensor(m) for m in np.moveaxis(stack.data, -3, 0)]
 
 
@@ -109,9 +110,7 @@ class MaskGenerator:
 
     def project_fp(self, f_s: Tensor) -> Tensor:
         """(..., S, S, C) -> (..., 4S, 4S, Cp): upsample, 3x3 conv, upsample."""
-        mid = ad.conv2d(
-            ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value, accumulate=np.float32
-        )
+        mid = ad.conv2d(ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value)
         return ad.upsample2x(mid)
 
     def kernel_from_query(self, f_q: Tensor) -> tuple:
@@ -127,15 +126,14 @@ class MaskGenerator:
 
     def apply_dynamic_kernel(self, f_p: Tensor, taps: Tensor, bias: Tensor) -> Tensor:
         """(..., H, W, Cp) map against its (..., N) kernels -> (..., N, H, W)
-        logit maps: one conv with each sample's kernels as its output
-        channels, which is the same math as one conv per kernel but shares
-        the patch extraction."""
+        logit maps, untaped, for dumps and checks: one float64 conv with each
+        sample's kernels as its output channels (the naive loop's sums, the
+        same math as one conv per kernel), rounded once to the map's dtype."""
         if taps.shape[-1] != f_p.shape[-1] or taps.shape[:-4] != f_p.shape[:-3]:
             raise DimensionError(f"kernel channels {taps.shape} vs map {f_p.shape}")
-        n = taps.ndim - 4
-        keep = tuple(range(n))
-        out = ad.conv2d(f_p, ad.transpose(taps, keep + (n + 1, n + 2, n + 3, n)), bias)
-        return ad.transpose(out, keep + (n + 2, n, n + 1))
+        kernel = np.moveaxis(taps.data, -4, -1)
+        out = ad.conv2d(*(Tensor(a, np.float64) for a in (f_p.data, kernel, bias.data)))
+        return Tensor(np.moveaxis(out.data, -1, -3).astype(f_p.dtype, copy=False))
 
     def fixed_head(self, f_p: Tensor) -> Tensor:
         out = ad.conv2d(f_p, self.fixed_kernel.value, self.fixed_bias.value)

@@ -559,56 +559,21 @@ def _conv_forward_f64(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(acc, -1, -2)).reshape(*lead, h, w, cout)
 
 
-def _conv_forward_taps(x: np.ndarray, k: np.ndarray, b, pad: int) -> np.ndarray:
-    # The float64 sum of a float32 conv, one batched GEMM per tap.  Each
-    # GEMM runs over the full-width rows dy..dy+H of the padded float64 map
-    # (a view, one (H*Wp, Cin) matrix per sample); the output columns
-    # dx..dx+W of its result are that tap's term.  No patch matrix is built.
-    *lead, h, w, cin = x.shape
-    kk, cout = k.shape[-4], k.shape[-1]
-    wp = w + 2 * pad
-    xp = np.zeros((*lead, h + 2 * pad, wp, cin))
-    xp[..., pad : pad + h, pad : pad + w, :] = x
-    k = k.astype(np.float64)
-    tap = np.empty((*lead, h * wp, cout))
-    acc = np.zeros((*lead, h, w, cout))
-    for dy in range(kk):
-        slab = xp[..., dy : dy + h, :, :].reshape(*lead, h * wp, cin)
-        for dx in range(kk):
-            np.matmul(slab, k[..., dy, dx, :, :], out=tap)
-            acc += tap.reshape(*lead, h, wp, cout)[..., dx : dx + w, :]
-    if b is not None:
-        acc += b[..., None, None, :]
-    return acc.astype(np.float32)
-
-
-def conv2d(
-    x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None, *, accumulate=np.float64
-) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Stride-1 2D convolution of an (H, W, Cin) or (B, H, W, Cin) map,
     spatial size preserved.
 
     ``kernel`` is (k, k, Cin, Cout) with odd k, shared by every sample, or
     (B, k, k, Cin, Cout) with one kernel per sample of a batched map; the
     bias is (Cout,) or (B, Cout) to match.  Zero padding of (k-1)//2.
-    The double-precision forward equals a naive per-pixel loop bit for bit
-    and ignores ``accumulate``: one multiply makes the products of a run of
+    The dtype picks the forward.  In double precision it equals a naive
+    per-pixel loop bit for bit: one multiply makes the products of a run of
     (dy, dx, cin) tap rows, and they are added into the bias one row at a
-    time in that order, so every output is the loop's sum.
-
-    A single-precision forward sums in ``accumulate``, float64 or float32.
-    With the default float64 each output is within one rounding of the
-    exact sum: the map is padded once into float64 and each of the k*k
-    taps is one batched GEMM over its rows (one per sample), added into a
-    float64 accumulator, so no patch matrix is built.  The per-query masks
-    keep it, to stay within criterion 2's 1e-6 of the double-precision
-    oracle (a float32 sum came within 9.7e-7 of it), and so does the fixed
-    head, which then sums in float64 as ``weighted_conv`` does.  The feature
-    convs of the backbone, neck and query generator pass float32: one
-    float32 im2col GEMM, each output within the dot-product bound gamma_K *
-    sum|x*k| (K = k*k*Cin + 1).  The backward does not depend on
-    ``accumulate``; it frees the forward's patch matrix once used, for the
-    heap to reuse, and rebuilds one when the forward kept none.
+    time in that order, so every output is the loop's sum.  In single
+    precision it is one float32 im2col GEMM, each output within the
+    dot-product bound gamma_K * sum|x*k| (K = k*k*Cin + 1).  The backward
+    frees the float32 forward's patch matrix once used, for the heap to
+    reuse, and rebuilds one only after a float64 forward, which builds none.
     """
     per_sample = kernel.ndim == 5
     batch = kernel.shape[:1] if per_sample else ()
@@ -640,8 +605,6 @@ def conv2d(
     cols_cache = None
     if x.data.dtype == np.float64:
         ydata = _conv_forward_f64(x.data, kernel.data, bdata, pad)
-    elif accumulate == np.float64:
-        ydata = _conv_forward_taps(x.data, kernel.data, bdata, pad)
     else:
         cols_cache = _im2col(x.data, k)
         ydata = cols_cache.reshape(rows + (k * k * cin,)) @ kernel.data.reshape(batch + (k * k * cin, cout))

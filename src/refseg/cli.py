@@ -39,6 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_list(text: str) -> list:
+    """A comma list of ints; argparse reports a bad item as a usage error."""
+    return [int(s) for s in text.split(",")]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="refseg")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,8 +70,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="train and compare model variants")
     p.add_argument("--config", required=True)
     p.add_argument("--variants", default="full,fixed_kernel")
-    p.add_argument("--queries", help="comma list of query counts to sweep")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--queries", type=_int_list, default=[], help="comma list of query counts to sweep")
+    p.add_argument("--seeds", type=_int_list, default="0,1,2")
     p.add_argument("--out", help="write per-seed records as JSON lines")
 
     p = sub.add_parser("dump-masks", help="write per-query masks for one sample")
@@ -171,10 +176,8 @@ def _cmd_ablate(args) -> int:
     cfg = load_train_config(args.config)
     vocab, train_samples, val_samples = _load_data_for_training(cfg)
     variants = [{"mode": m} for m in args.variants.split(",") if m]
-    if args.queries:
-        variants += [{"num_queries": int(q)} for q in args.queries.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    report = run_ablation(cfg, variants, seeds, vocab, train_samples, eval_samples=val_samples)
+    variants += [{"num_queries": q} for q in args.queries]
+    report = run_ablation(cfg, variants, args.seeds, vocab, train_samples, eval_samples=val_samples)
     print(report.to_text_table())
     if args.out:
         Path(args.out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in report.to_records()))
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (RefsegError, FileNotFoundError, ValueError) as e:
+    except RefsegError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -150,8 +150,17 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
+def read_text(path) -> str:
+    """A user-given text file's contents; a missing, unreadable or
+    non-UTF-8 file raises ``ConfigError`` naming the path."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path} ({type(e).__name__})") from e
+
+
 def read_kv_file(path) -> dict:
-    return parse_kv_text(Path(path).read_text())
+    return parse_kv_text(read_text(path))
 
 
 def write_kv_file(path, pairs: dict) -> None:

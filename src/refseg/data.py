@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import field_casts, field_pairs, section_kwargs, write_kv_file
+from .config import field_casts, field_pairs, read_text, section_kwargs, write_kv_file
 from .encoders import Vocabulary
 from .errors import CheckpointError, ConfigError, GenerationError
 from .tensor_io import read_pgm, read_ppm, write_pgm, write_ppm
@@ -403,9 +403,10 @@ def load_split(root, name: str) -> list:
     malformed image or mask file, or a mask of another size than its image
     raises ``ConfigError`` naming the record's line."""
     sdir = Path(root) / name
+    path = sdir / "samples.jsonl"
     samples = []
-    for lineno, line in enumerate((sdir / "samples.jsonl").read_text().splitlines(), 1):
-        where = f"{sdir / 'samples.jsonl'} line {lineno}"
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        where = f"{path} line {lineno}"
         try:
             rec = json.loads(line)
             if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys() or any(

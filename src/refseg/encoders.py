@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig
+from .config import ModelConfig, read_text
 from .errors import ConfigError, VocabularyError
 from .nn import (
     FeedForward,
@@ -76,7 +76,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls(tuple(Path(path).read_text().splitlines()))
+        return cls(tuple(read_text(path).splitlines()))
 
 
 @dataclass
@@ -224,7 +224,7 @@ class ImageEncoder:
         x = image
         stages = []
         for kernel, bias in self.convs:
-            x = ad.conv2d(x, kernel.value, bias.value, accumulate=np.float32)
+            x = ad.conv2d(x, kernel.value, bias.value)
             x = ad.avgpool2x(ad.relu(x))
             stages.append(x)
         x2, x3, x4 = stages[1], stages[2], stages[3]

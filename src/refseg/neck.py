@@ -67,9 +67,7 @@ class _PyramidFuser:
             axis=-1,
         )
         stacked = ad.concat([f_m2, f_m3, f_m4], axis=-1)
-        return ad.conv2d(
-            stacked, self.conv_m.value, self.conv_m_b.value, accumulate=np.float32
-        )
+        return ad.conv2d(stacked, self.conv_m.value, self.conv_m_b.value)
 
     def __call__(self, f_m4: Tensor, feats: ImageFeatures) -> Tensor:
         """(..., S, S, C) fused stage-4 map and the stage-3/2 features ->
@@ -78,9 +76,7 @@ class _PyramidFuser:
         f_m = self.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
         coords = coord_features(*f_m.shape[-3:-1], dtype=f_m.data.dtype).data
         stacked = ad.concat([f_m, Tensor(np.broadcast_to(coords, f_m.shape[:-1] + (2,)))], axis=-1)
-        return ad.conv2d(
-            stacked, self.conv_inte.value, self.conv_inte_b.value, accumulate=np.float32
-        )
+        return ad.conv2d(stacked, self.conv_inte.value, self.conv_inte_b.value)
 
 
 class FusionNeck:

@@ -64,7 +64,7 @@ class QueryGenerator:
         for i, (kernel, bias) in enumerate(self.reduce):
             if i > 0:
                 x = ad.relu(x)
-            x = ad.conv2d(x, kernel.value, bias.value, accumulate=np.float32)
+            x = ad.conv2d(x, kernel.value, bias.value)
         return ad.transpose(ad.reshape(x, x.shape[:-3] + (s_h * s_w, self.cfg.num_queries)))
 
     def fuse_language_global(self, f_t: Tensor, f_vg: Tensor, use_fvg: bool = True) -> Tensor:

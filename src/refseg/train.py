@@ -253,7 +253,11 @@ def load_checkpoint(path):
     The model is built with nothing drawn (``seed=None``); once the
     header's parameter table and the file size match it, each arena is read
     in place."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"cannot read {path} ({type(e).__name__})") from e
+    with f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(16)
         if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:

@@ -92,11 +92,15 @@ def taped_attention(attn, x: Tensor, kv: Tensor = None, key_bias=None):
 
 
 def taped_aggregate(gen, f_p: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> Tensor:
-    """The score-weighted mask sum as the chain of taped ops it replaced:
-    ``gen.apply_dynamic_kernel`` makes the (..., N, H, W) mask stack in one
-    N-channel conv, and a reshape, mul and tsum add its maps weighted by the
-    scores.  The reference for ``aligner.aggregate``."""
-    stack = gen.apply_dynamic_kernel(f_p, taps, bias)
+    """The score-weighted mask sum as the chain of taped ops it replaced: one
+    N-channel conv over the transposed taps makes the (..., N, H, W) mask
+    stack, as ``gen.apply_dynamic_kernel`` did when it was taped, and a
+    reshape, mul and tsum add its maps weighted by the scores.  ``gen`` is
+    not read.  The reference for ``aligner.aggregate``."""
+    n = taps.ndim - 4
+    keep = tuple(range(n))
+    out = ad.conv2d(f_p, ad.transpose(taps, keep + (n + 1, n + 2, n + 3, n)), bias)
+    stack = ad.transpose(out, keep + (n + 2, n, n + 1))
     weights = ad.reshape(scores, scores.shape + (1, 1))
     return ad.tsum(ad.mul(stack, weights), axis=-3)
 

@@ -155,6 +155,39 @@ class TestMaskGenerator:
             ref = naive_conv(f_p, taps[n, ..., None], bias[n : n + 1])[:, :, 0]
             assert np.array_equal(stack.data[n], ref)
 
+    def test_float32_maps_are_the_double_loop_rounded_once(self, tiny_cfg, rng):
+        """Float32 maps are float32 and byte-equal to the naive loop over
+        the float64-cast inputs, rounded once to float32, unbatched and at
+        B=2, for 1 to 4 kernels of 2 to 16 channels on odd map sizes."""
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        sizes = [(5, 7), (7, 3), (3, 9), (9, 5)]
+        for lead in ((), (2,)):
+            for n in range(1, 5):
+                for i, cp in enumerate((2, 4, 8, 16)):
+                    h, w = sizes[(i + n) % 4]
+                    f_p, taps, bias = (
+                        rng.standard_normal(s).astype(np.float32)
+                        for s in (lead + (h, w, cp), lead + (n, 3, 3, cp), lead + (n,))
+                    )
+                    stack = gen.apply_dynamic_kernel(Tensor(f_p), Tensor(taps), Tensor(bias)).data
+                    assert stack.dtype == np.float32 and stack.shape == lead + (n, h, w)
+                    for j in np.ndindex(*lead):
+                        k64 = np.moveaxis(taps[j], 0, -1).astype(np.float64)
+                        ref = naive_conv(f_p[j].astype(np.float64), k64, bias[j].astype(np.float64))
+                        expected = np.moveaxis(ref, -1, 0).astype(np.float32)
+                        assert stack[j].tobytes() == expected.tobytes()
+
+    def test_apply_records_no_tape_node(self, tiny_cfg, rng):
+        gen, _ = build(MaskGenerator, tiny_cfg)
+        cp = tiny_cfg.kernel_channels
+        inputs = [
+            Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in ((2, 6, 5, cp), (2, 3, 3, 3, cp), (2, 3))
+        ]
+        with ad.Tape() as tape:
+            stack = gen.apply_dynamic_kernel(*inputs)
+        assert len(tape) == 0 and not stack.requires_grad
+
 
 class TestEstimator:
     def test_single_query_scores_one_exactly(self, tiny_cfg, rng):

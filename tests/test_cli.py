@@ -202,6 +202,52 @@ def test_usage_error_exit_code_1(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent", "--data", "/nonexistent"]) == 1
 
 
+def test_missing_input_paths_exit_1_naming_the_path(tmp_path, dataset, capsys):
+    """Each command given a missing (or non-UTF-8) file exits 1 with a
+    typed error that names the path; ``main`` catches nothing but
+    ``RefsegError``."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path, dataset, out))]) == 0
+    ckpt = str(out / "checkpoint.eavc")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    missing = str(tmp_path / "missing")
+    no_vocab = str(tiny_config_file(tmp_path, empty, out))
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"train.steps=\xff\xfe\n")
+    cases = [
+        (["train", "--config", missing], missing),
+        (["gen-data", "--out", str(tmp_path / "g"), "--manifest", str(binary)], str(binary)),
+        (["train", "--config", no_vocab], str(empty / "vocab.txt")),
+        (["train", "--resume", missing], missing),
+        (["eval", "--checkpoint", missing, "--data", str(dataset)], missing),
+        (["eval", "--checkpoint", ckpt, "--data", missing], missing),
+        (["dump-masks", "--checkpoint", missing, "--data", str(dataset), "--out", str(tmp_path / "d")], missing),
+        (["dump-masks", "--checkpoint", ckpt, "--data", missing, "--out", str(tmp_path / "d")], missing),
+    ]
+    capsys.readouterr()
+    for argv, path in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err, (argv, err)
+
+
+def test_untyped_exception_is_not_caught(monkeypatch):
+    """Any exception other than ``RefsegError`` is a bug: it propagates."""
+
+    def untyped(args):
+        raise FileNotFoundError("untyped")
+
+    monkeypatch.setitem(_COMMANDS, "gradcheck", untyped)
+    with pytest.raises(FileNotFoundError):
+        main(["gradcheck"])
+
+
+def test_ablate_bad_int_list_is_a_usage_error(capsys):
+    assert main(["ablate", "--config", "c.txt", "--seeds", "0,x"]) == 1
+    assert "--seeds" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     # a misspelt key would otherwise train the default 1000 steps
     cfg = tiny_config_file(tmp_path, tmp_path / "data", tmp_path / "run", **{"train.setps": "5"})
