@@ -44,6 +44,14 @@ def _int_list(text: str) -> list:
     return [int(s) for s in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    """An int of at least 1; argparse reports anything else as a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="refseg")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--sample-per-param", type=int, default=2)
+    p.add_argument("--sample-per-param", type=_positive_int, default=2)
 
     p = sub.add_parser("ablate", help="train and compare model variants")
     p.add_argument("--config", required=True)

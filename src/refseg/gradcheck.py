@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 def grad_check(
@@ -31,8 +31,12 @@ def grad_check(
     parameter are checked (seeded through ``rng``), which keeps large models
     tractable.  Relative error uses denominator max(|a|, |b|, 1e-8).  A
     non-finite gradient, taped (sampled or not) or numeric, makes the result
-    NaN, which fails every ``err < bound`` test.
+    NaN, which fails every ``err < bound`` test.  A ``sample_per_param``
+    below 1 raises ``ConfigError``.  Each parameter's tape gradient is left
+    in ``p.gradient``.
     """
+    if sample_per_param is not None and sample_per_param < 1:
+        raise ConfigError(f"sample_per_param must be at least 1, got {sample_per_param}")
     with ad.Tape() as tape:
         out = f()
     if out.data.size != 1:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .aligner import MaskGenerator, QueryEstimator, TransformerDecoder, aggregate
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tensor
 from .config import ModelConfig
 from .data import GrammarConfig, generate_scene, vocabulary_for
 from .encoders import ImageEncoder, ImageFeatures, TextEncoder, TextFeatures, tokenize
@@ -105,86 +105,34 @@ def _sparse(shape, rng, k: int = 6) -> Tensor:
 
 
 def _op_checks(rng) -> list:
+    """One check ``tsum(op(*inputs) * proj)`` per case; each case draws its
+    inputs, then its projection, from ``rng`` in case order.  The cases are
+    built per call, so they hold the ``ad`` ops installed at the time."""
+
+    def case(name, op, input_shapes, proj_shape, store=None):
+        store = ParamStore(dtype=np.float64, seed=0) if store is None else store
+        xs = [_param(store, f"x{j}", shape, rng) for j, shape in enumerate(input_shapes)]
+        proj = Tensor(rng.standard_normal(proj_shape))
+        return (name, lambda: ad.tsum(ad.mul(op(*(x.value for x in xs)), proj)), store.parameters())
+
     checks = []
-
-    def matmul_case(i, m, k, n):
-        store = ParamStore(dtype=np.float64, seed=0)
-        a = _param(store, "a", (m, k), rng)
-        b = _param(store, "b", (k, n), rng)
-        w = Tensor(rng.standard_normal((m, n)))
-        return (f"op.matmul.{i}", lambda: ad.tsum(ad.mul(ad.matmul(a.value, b.value), w)), [a, b])
-
     for i, (m, k, n) in enumerate([(5, 4, 3), (2, 7, 2), (6, 1, 5)]):
-        checks.append(matmul_case(i, m, k, n))
-
-    def conv_case(i, h, w_, ci, co, k):
-        store = ParamStore(dtype=np.float64, seed=0)
-        x = _param(store, "x", (h, w_, ci), rng)
-        kern = _param(store, "k", (k, k, ci, co), rng)
-        bias = _param(store, "b", (co,), rng)
-        proj = Tensor(rng.standard_normal((h, w_, co)))
-        return (
-            f"op.conv2d_{k}x{k}.{i}",
-            lambda: ad.tsum(ad.mul(ad.conv2d(x.value, kern.value, bias.value), proj)),
-            [x, kern, bias],
-        )
-
-    for i, (h, w_, ci, co) in enumerate([(5, 5, 2, 3), (4, 6, 3, 1), (3, 3, 1, 2)]):
-        checks.append(conv_case(i, h, w_, ci, co, 3))
-    for i, (h, w_, ci, co) in enumerate([(4, 4, 3, 2), (2, 5, 1, 4), (6, 3, 2, 2)]):
-        checks.append(conv_case(i, h, w_, ci, co, 1))
-
-    def upsample_case(i, h, w_, c):
-        store = ParamStore(dtype=np.float64, seed=0)
-        x = _param(store, "x", (h, w_, c), rng)
-        proj = Tensor(rng.standard_normal((2 * h, 2 * w_, c)))
-        return (f"op.upsample2x.{i}", lambda: ad.tsum(ad.mul(ad.upsample2x(x.value), proj)), [x])
-
-    for i, shape in enumerate([(3, 4, 2), (1, 1, 3), (5, 2, 1)]):
-        checks.append(upsample_case(i, *shape))
-
-    def pool_case(i, h, w_, c):
-        store = ParamStore(dtype=np.float64, seed=0)
-        x = _param(store, "x", (h, w_, c), rng)
-        proj = Tensor(rng.standard_normal((h // 2, w_ // 2, c)))
-        return (f"op.avgpool2x.{i}", lambda: ad.tsum(ad.mul(ad.avgpool2x(x.value), proj)), [x])
-
-    for i, shape in enumerate([(4, 4, 2), (2, 6, 1), (8, 2, 3)]):
-        checks.append(pool_case(i, *shape))
-
-    def softmax_case(i, t, c):
-        store = ParamStore(dtype=np.float64, seed=0)
-        x = _param(store, "x", (t, c), rng)
-        proj = Tensor(rng.standard_normal((t, c)))
-        return (f"op.softmax.{i}", lambda: ad.tsum(ad.mul(ad.softmax(x.value, -1), proj)), [x])
-
+        checks.append(case(f"op.matmul.{i}", ad.matmul, [(m, k), (k, n)], (m, n)))
+    for k, shapes in [(3, [(5, 5, 2, 3), (4, 6, 3, 1), (3, 3, 1, 2)]), (1, [(4, 4, 3, 2), (2, 5, 1, 4), (6, 3, 2, 2)])]:
+        for i, (h, w, ci, co) in enumerate(shapes):
+            checks.append(case(f"op.conv2d_{k}x{k}.{i}", ad.conv2d, [(h, w, ci), (k, k, ci, co), (co,)], (h, w, co)))
+    for i, (h, w, c) in enumerate([(3, 4, 2), (1, 1, 3), (5, 2, 1)]):
+        checks.append(case(f"op.upsample2x.{i}", ad.upsample2x, [(h, w, c)], (2 * h, 2 * w, c)))
+    for i, (h, w, c) in enumerate([(4, 4, 2), (2, 6, 1), (8, 2, 3)]):
+        checks.append(case(f"op.avgpool2x.{i}", ad.avgpool2x, [(h, w, c)], (h // 2, w // 2, c)))
     for i, shape in enumerate([(3, 5), (1, 4), (6, 2)]):
-        checks.append(softmax_case(i, *shape))
-
-    def broadcast_case(i, t, c):
-        store = ParamStore(dtype=np.float64, seed=0)
-        x = _param(store, "x", (t, c), rng)
-        row = _param(store, "row", (c,), rng)
-        proj = Tensor(rng.standard_normal((t, c)))
-        return (
-            f"op.elementwise_broadcast.{i}",
-            lambda: ad.tsum(ad.mul(ad.mul(x.value, ad.relu(row.value)), proj)),
-            [x, row],
-        )
-
-    for i, shape in enumerate([(4, 3), (2, 6), (5, 5)]):
-        checks.append(broadcast_case(i, *shape))
-
-    def mhsa_case(i, t, c, heads):
-        store = ParamStore(dtype=np.float64, seed=i + 11)
-        attn = MultiHeadAttention(store, "attn", c, heads)
-        x = _param(store, "x", (t, c), rng)
-        proj = Tensor(rng.standard_normal((t, c)))
-        return (f"op.mhsa.{i}", lambda: ad.tsum(ad.mul(attn(x.value), proj)), store.parameters())
-
+        checks.append(case(f"op.softmax.{i}", lambda x: ad.softmax(x, -1), [shape], shape))
+    for i, (t, c) in enumerate([(4, 3), (2, 6), (5, 5)]):
+        checks.append(case(f"op.elementwise_broadcast.{i}", lambda x, row: ad.mul(x, ad.relu(row)),
+                           [(t, c), (c,)], (t, c)))
     for i, (t, c, heads) in enumerate([(4, 8, 2), (1, 6, 3), (5, 4, 4)]):
-        checks.append(mhsa_case(i, t, c, heads))
-
+        store = ParamStore(dtype=np.float64, seed=i + 11)
+        checks.append(case(f"op.mhsa.{i}", MultiHeadAttention(store, "attn", c, heads), [(t, c)], (t, c), store))
     return checks
 
 
@@ -323,30 +271,24 @@ def end_to_end_check():
     return ("model.end_to_end", f, params, model)
 
 
-def zero_gradient_parameters(model: Model, f) -> list:
-    """Names of parameters untouched by the loss; expected for heads the
-    current mode does not exercise."""
-    with Tape() as tape:
-        out = f()
-    model.zero_grad()
-    backward(tape, out)
-    return sorted(p.name for p in model.parameters() if not np.any(p.gradient))
-
-
 def run_gradient_suite(e2e_sample_per_param: int = 2):
-    """Run all checks; returns (results, zero_grad_names)."""
+    """Run all checks; returns (results, zero_grad_names).  The zero names are
+    the model parameters whose tape gradient in the model check is zero,
+    expected for heads the "full" mode does not exercise."""
     rng = np.random.default_rng(42)
+
+    def checks():  # built one group at a time, so a finished group is freed
+        for name, f, params in _op_checks(rng):
+            yield name, f, params, {}
+        for name, f, params, eps in _block_checks(rng):
+            yield name, f, params, dict(eps=eps, sample_per_param=16, rng=np.random.default_rng(3))
+        name, f, params, _ = end_to_end_check()
+        yield name, f, params, dict(eps=BLOCK_EPS, sample_per_param=e2e_sample_per_param, rng=np.random.default_rng(1))
+
     results = []
-    for name, f, params in _op_checks(rng):
+    for name, f, params, kwargs in checks():
         start = time.perf_counter()
-        err = grad_check(f, params)
+        err = grad_check(f, params, **kwargs)
         results.append(BlockResult(name, err, time.perf_counter() - start))
-    for name, f, params, eps in _block_checks(rng):
-        start = time.perf_counter()
-        err = grad_check(f, params, eps=eps, sample_per_param=16, rng=np.random.default_rng(3))
-        results.append(BlockResult(name, err, time.perf_counter() - start))
-    name, f, params, model = end_to_end_check()
-    start = time.perf_counter()
-    err = grad_check(f, params, eps=BLOCK_EPS, sample_per_param=e2e_sample_per_param, rng=np.random.default_rng(1))
-    results.append(BlockResult(name, err, time.perf_counter() - start))
-    return results, zero_gradient_parameters(model, f)
+    # params is the model check's, the last run; grad_check left their tape gradients in place
+    return results, sorted(p.name for p in params if not np.any(p.gradient))

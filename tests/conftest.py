@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from refseg import autodiff as ad
-from refseg.config import ModelConfig
 from refseg.data import GrammarConfig, vocabulary_for
+from refseg.gradsuite import tiny_config
 
 
 @pytest.fixture
@@ -17,18 +17,7 @@ def rng():
 @pytest.fixture
 def tiny_cfg():
     """Smallest full-pipeline config: 16x16 image, C=8, 2 queries."""
-    return ModelConfig(
-        image_size=16,
-        fusion_width=8,
-        text_global_width=8,
-        num_queries=2,
-        max_tokens=9,
-        heads=2,
-        text_layers=1,
-        decoder_layers=1,
-        backbone_channels=(4, 8, 8, 8),
-        precision="double",
-    )
+    return tiny_config()
 
 
 @pytest.fixture

@@ -5,15 +5,12 @@ import pytest
 
 from refseg import autodiff as ad
 from refseg.autodiff import Parameter, Tape, Tensor, backward
-from refseg.errors import DimensionError, NumericalError
+from refseg.errors import ConfigError, DimensionError, NumericalError
 from refseg.gradcheck import grad_check
+from refseg.gradsuite import _param as randn_param
 from refseg.nn import MultiHeadAttention, ParamStore
 
 from composite_ops import powc, taped_attention
-
-
-def randn_param(store, name, shape, rng):
-    return store.parameter(name, shape, lambda r, s, d: rng.standard_normal(s).astype(d))
 
 
 def test_backward_sum_of_matmul_outer_product_oracle(rng):
@@ -320,3 +317,11 @@ def test_concat_of_reused_parts_gives_each_its_own_gradient(rng):
     assert np.array_equal(a.grad, p[:, 0:3] + p[:, 6:9])
     assert np.array_equal(b.grad, p[:, 3:6] + p[:, 9:12] * (b.data > 0))
     assert not _grads_alias([a, b])
+
+
+@pytest.mark.parametrize("sample_per_param", [0, -1])
+def test_grad_check_rejects_sample_per_param_below_1(sample_per_param, rng):
+    store = ParamStore(dtype=np.float64, seed=0)
+    w = randn_param(store, "w", (3,), rng)
+    with pytest.raises(ConfigError, match="sample_per_param"):
+        grad_check(lambda: ad.tsum(w.value), [w], sample_per_param=sample_per_param)

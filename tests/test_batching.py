@@ -21,6 +21,7 @@ from refseg.data import GrammarConfig, generate_split, vocabulary_for
 from refseg.encoders import TokenSequence
 from refseg.errors import DimensionError
 from refseg.gradcheck import grad_check
+from refseg.gradsuite import _param as randn_param
 from refseg.metrics import bce_loss, downsample_mask_nearest
 from refseg.model import Model
 from refseg.nn import ParamStore
@@ -30,10 +31,6 @@ from test_tensor_ops import naive_conv
 
 MODES = ("full", "fixed_kernel", "no_estimator", "no_fvg")
 REPO = Path(__file__).resolve().parents[1]
-
-
-def randn_param(store, name, shape, rng):
-    return store.parameter(name, shape, lambda r, s, d: rng.standard_normal(s).astype(d))
 
 
 @pytest.fixture

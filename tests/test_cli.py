@@ -248,6 +248,14 @@ def test_ablate_bad_int_list_is_a_usage_error(capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_sample_per_param_below_1_is_a_usage_error(value, capsys):
+    # 0 used to check no model entry and print PASS; -1 ended in a traceback
+    assert main(["gradcheck", "--sample-per-param", value]) == 1
+    err = capsys.readouterr().err
+    assert "--sample-per-param" in err and "Traceback" not in err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     # a misspelt key would otherwise train the default 1000 steps
     cfg = tiny_config_file(tmp_path, tmp_path / "data", tmp_path / "run", **{"train.setps": "5"})

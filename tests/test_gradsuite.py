@@ -4,7 +4,10 @@ cache, so the suite gives the results of closures that share no forward
 while each encoder, and each later model stage, runs once per state of its
 slice of the parameter arena."""
 
+import re
+import runpy
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from refseg.queries import QueryGenerator
 
 from composite_ops import unshared_end_to_end_check, unshared_image_checks
 
+SUITE_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "suite_digest.py"
 HEADS = [f"block.image_encoder.{h}" for h in ("v2", "v3", "v4", "vg")]
 STAGE_CLASSES = (TextEncoder, ImageEncoder, FusionNeck, QueryGenerator, TransformerDecoder)
 
@@ -182,3 +186,38 @@ def test_model_check_keeps_only_the_start_state_outputs():
     first = [next(p for p in params if p.name.startswith(prefix)) for prefix in ("text.", "image.")]
     gradsuite.grad_check(f, first, eps=gradsuite.BLOCK_EPS, sample_per_param=1, rng=np.random.default_rng(0))
     assert [list(getattr(model, attr).results) for attr, _ in gradsuite.MODEL_STAGES] == [[b""]] * 5
+
+
+def test_zero_gradient_names_come_from_the_model_checks_own_tape(logged_suite):
+    """The model check leaves each parameter's tape gradient in place, so the
+    suite reads its zero-gradient names from them instead of a second taped
+    forward and backward."""
+    _, zero_names, _, _ = logged_suite
+    _, f, params, model = gradsuite.end_to_end_check()
+    gradsuite.grad_check(f, params, eps=gradsuite.BLOCK_EPS, sample_per_param=2, rng=np.random.default_rng(1))
+    left = [p.gradient.tobytes() for p in params]
+    with Tape() as tape:
+        out = f()
+    model.zero_grad()
+    backward(tape, out)
+    assert [p.gradient.tobytes() for p in params] == left
+    assert zero_names == sorted(p.name for p in model.parameters() if not np.any(p.gradient))
+    assert "aligner.fixed.kernel" in zero_names
+
+
+def test_suite_digest_is_stable_and_reads_every_result_bit(capsys, monkeypatch):
+    def digest():
+        runpy.run_path(str(SUITE_DIGEST), run_name="__main__")
+        return capsys.readouterr().out
+
+    first = digest()
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first) and digest() == first
+    real_grad_check, calls = gradsuite.grad_check, []
+
+    def one_result_off_by_an_ulp(f, params, **kwargs):
+        err = real_grad_check(f, params, **kwargs)
+        calls.append(err)
+        return np.nextafter(err, 1.0) if len(calls) == 5 else err
+
+    monkeypatch.setattr(gradsuite, "grad_check", one_result_off_by_an_ulp)
+    assert digest() != first

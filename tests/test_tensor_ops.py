@@ -9,6 +9,7 @@ from refseg import autodiff as ad
 from refseg.autodiff import Tensor
 from refseg.errors import DimensionError, PrecisionError
 from refseg.gradcheck import grad_check
+from refseg.gradsuite import _param as randn_param
 from refseg.nn import ParamStore
 
 import composite_ops as ops
@@ -16,10 +17,6 @@ import composite_ops as ops
 
 def param(store, name, arr):
     return store.parameter(name, arr.shape, lambda r, s, d: np.asarray(arr, dtype=d))
-
-
-def randn_param(store, name, shape, rng):
-    return store.parameter(name, shape, lambda r, s, d: rng.standard_normal(s).astype(d))
 
 
 # ---------------------------------------------------------------------------
