@@ -637,16 +637,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def weighted_conv(x: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> Tensor:
     """sum_n s_n * conv(x, K_n, b_n) over an (..., H, W, C) map, (..., N, 3, 3, C)
     kernels, (..., N) biases and scores -> (..., H, W): one float64 GEMM per
-    sample with the kernel merged in float64 in kernel order, its 9 tap
-    columns added shifted in (dy, dx) order, then the bias, rounded once."""
+    sample with the kernels and biases merged by one float64 sum over the
+    query axis (in query order), its 9 tap columns added shifted in (dy, dx)
+    order, then the bias, rounded once."""
     for t in (taps, bias, scores):
         _check_same_dtype(x, t, "weighted_conv")
     lead, (h, w, c), n = x.shape[:-3], x.shape[-3:], scores.shape[-1]
     if taps.shape != lead + (n, 3, 3, c) or bias.shape != lead + (n,) or scores.shape != lead + (n,):
         raise DimensionError(f"weighted_conv: map {x.shape}, taps {taps.shape}, bias {bias.shape}, scores {scores.shape}")
-    s, k, b = (t.data.astype(np.float64) for t in (scores, taps, bias))
-    kbar = functools.reduce(np.add, (s[..., i, None, None, None] * k[..., i, :, :, :] for i in range(n)))
-    bbar = functools.reduce(np.add, (s[..., i] * b[..., i] for i in range(n)))
+    kb = np.concatenate([taps.data.reshape(lead + (n, 9 * c)), bias.data[..., None]], axis=-1)
+    merged = (scores.data.astype(np.float64)[..., None] * kb).sum(axis=-2)
+    kbar, bbar = merged[..., :-1].reshape(lead + (3, 3, c)), merged[..., -1]
     cols = x.data.astype(np.float64).reshape(lead + (h * w, c)) @ np.swapaxes(kbar.reshape(lead + (9, c)), -1, -2)
     cols = cols.reshape(lead + (h, w, 3, 3))
     acc = np.zeros(lead + (h + 2, w + 2))
@@ -703,14 +704,11 @@ def _apply_separable(x: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarra
 
 
 def bilinear_resize_array(x: np.ndarray, out_hw: tuple) -> np.ndarray:
-    """Non-differentiable bilinear resize for metrics and dumps."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[:, :, None]
-    mh = _resize_matrix(x.shape[0], out_hw[0], x.dtype)
-    mw = _resize_matrix(x.shape[1], out_hw[1], x.dtype)
-    y = _apply_separable(x, mh, mw)
-    return y[:, :, 0] if squeeze else y
+    """Non-differentiable bilinear resize of an (..., H, W, C) map, for
+    metrics and dumps."""
+    mh = _resize_matrix(x.shape[-3], out_hw[0], x.dtype)
+    mw = _resize_matrix(x.shape[-2], out_hw[1], x.dtype)
+    return _apply_separable(x, mh, mw)
 
 
 def upsample2x(x: Tensor) -> Tensor:

@@ -62,8 +62,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--image-size", type=int, default=64)
 
     p = sub.add_parser("train", help="train a model from a key=value config")
-    p.add_argument("--config")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--out", help="overrides train.out_dir")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -122,15 +123,7 @@ def _load_data_for_training(cfg):
 
 
 def _cmd_train(args) -> int:
-    if args.resume:
-        cfg, state, vocab = load_checkpoint(args.resume)
-    elif args.config:
-        cfg = load_train_config(args.config)
-        state = None
-        vocab = None
-    else:
-        print("error: train needs --config or --resume", file=sys.stderr)
-        return EXIT_USAGE
+    cfg, state, vocab = load_checkpoint(args.resume) if args.resume else (load_train_config(args.config), None, None)
     out_dir = Path(args.out or cfg.out_dir or "run")
     out_dir.mkdir(parents=True, exist_ok=True)
 

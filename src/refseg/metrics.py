@@ -29,18 +29,20 @@ def bce_loss(y_logits: Tensor, gt: np.ndarray) -> Tensor:
 
 
 def downsample_mask_nearest(gt: np.ndarray, out_hw: tuple) -> np.ndarray:
-    """Nearest-neighbor downsample of a binary mask (pixel-center sampling)."""
-    h, w = gt.shape
+    """Nearest-neighbor downsample of (..., H, W) binary masks (pixel-center
+    sampling)."""
+    h, w = gt.shape[-2:]
     oh, ow = out_hw
     rows = np.minimum(((np.arange(oh) + 0.5) * h / oh).astype(int), h - 1)
     cols = np.minimum(((np.arange(ow) + 0.5) * w / ow).astype(int), w - 1)
-    return gt[np.ix_(rows, cols)]
+    return gt[..., rows[:, None], cols]
 
 
 def predict_binary_mask(y_logits: np.ndarray, out_hw: tuple) -> np.ndarray:
-    """Bilinearly upsample logits to image resolution, threshold at 0."""
-    up = ad.bilinear_resize_array(y_logits.astype(np.float64), out_hw)
-    return up > 0.0
+    """Bilinearly upsample (..., h, w) logits to image resolution, threshold
+    at 0."""
+    up = ad.bilinear_resize_array(y_logits.astype(np.float64)[..., None], out_hw)
+    return up[..., 0] > 0.0
 
 
 def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
@@ -86,23 +88,21 @@ def report_from_ious(intersections: np.ndarray, unions: np.ndarray) -> EvalRepor
 
 def evaluate(model, samples, mode: str = "full") -> EvalReport:
     """Per-image IoU stats: cumulative overall IoU, mean IoU, and Pr@X.
-    One ``model.predict_batch`` per chunk of ``EVAL_CHUNK`` samples, whose
-    images must share a shape; thresholding and IoU stay per sample."""
+    Each chunk of ``EVAL_CHUNK`` samples, whose images must share a shape
+    and whose masks must match it, is one ``model.predict_batch`` and one
+    (B, H, W) threshold and IoU count."""
     if not samples:
         raise ConfigError("evaluate: empty dataset")
-    inters = np.zeros(len(samples), dtype=np.int64)
-    unions = np.zeros(len(samples), dtype=np.int64)
+    inters, unions = [], []
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[lo : lo + EVAL_CHUNK]
         shape = chunk[0].image.shape
         for i, s in enumerate(chunk, lo):
-            if s.image.shape != shape:
-                raise DimensionError(f"evaluate: sample {i} image {s.image.shape} vs sample {lo} {shape}")
-        images = np.stack([s.image for s in chunk])
-        logits = model.predict_batch(images, [s.expression for s in chunk], mode=mode)
-        for i, (s, y) in enumerate(zip(chunk, logits), lo):
-            pred = predict_binary_mask(y, s.gt_mask.shape)
-            g = s.gt_mask.astype(bool)
-            inters[i] = np.logical_and(pred, g).sum()
-            unions[i] = np.logical_or(pred, g).sum()
-    return report_from_ious(inters, unions)
+            if s.image.shape != shape or s.gt_mask.shape != shape[:2]:
+                raise DimensionError(f"evaluate: sample {i} image {s.image.shape}, mask {s.gt_mask.shape} vs sample {lo} {shape}")
+        logits = model.predict_batch(np.stack([s.image for s in chunk]), [s.expression for s in chunk], mode=mode)
+        pred = predict_binary_mask(logits, shape[:2])
+        g = np.stack([s.gt_mask for s in chunk]).astype(bool)
+        inters.append(np.logical_and(pred, g).sum(axis=(-2, -1)))
+        unions.append(np.logical_or(pred, g).sum(axis=(-2, -1)))
+    return report_from_ious(np.concatenate(inters), np.concatenate(unions))

@@ -171,6 +171,8 @@ def train(
 ) -> TrainState:
     """Advance ``state`` to ``max_step`` (default cfg.steps), logging one
     JSON line per step and a periodic evaluation report."""
+    if not train_samples:
+        raise ConfigError("train: empty training set")
     model = state.model
     n = len(train_samples)
     target = cfg.steps if max_step is None else min(max_step, cfg.steps)
@@ -184,7 +186,7 @@ def train(
         with Tape() as tape:
             bundle = model.forward(images, tokens, mode=cfg.mode)
             mask_hw = bundle.y.shape[-2:]
-            gt = np.stack([downsample_mask_nearest(train_samples[i].gt_mask, mask_hw) for i in indices])
+            gt = downsample_mask_nearest(np.stack([train_samples[i].gt_mask for i in indices]), mask_hw)
             loss = bce_loss(bundle.y, gt)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):

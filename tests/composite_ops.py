@@ -1,10 +1,11 @@
 """Taped ops the model does not use, kept for tests that build reference
 compositions (layer norm as a chain of primitive ops, a composite gradient
 check, attention as a chain of taped ops, the mask head as a mask stack and
-a weighted sum).  They follow ``refseg.autodiff``'s node protocol.  Also the
+a weighted sum, the head's merge as a sequential reduce).  They follow ``refseg.autodiff``'s node protocol.  Also the
 gradient suite's image-head and model checks as closures that share no
 forward, the reference for the suite's forward reuse."""
 
+import functools
 import math
 
 import numpy as np
@@ -103,6 +104,23 @@ def taped_aggregate(gen, f_p: Tensor, taps: Tensor, bias: Tensor, scores: Tensor
     stack = ad.transpose(out, keep + (n + 2, n, n + 1))
     weights = ad.reshape(scores, scores.shape + (1, 1))
     return ad.tsum(ad.mul(stack, weights), axis=-3)
+
+
+def sequential_merge_weighted_conv(x: Tensor, taps: Tensor, bias: Tensor, scores: Tensor) -> np.ndarray:
+    """``ad.weighted_conv``'s forward with the kernel and bias merged by a
+    sequential ``functools.reduce`` over the queries, in query order, and
+    the rest of the forward as the op runs it.  The reference for the
+    op's one sum over the query axis."""
+    lead, (h, w, c), n = x.shape[:-3], x.shape[-3:], scores.shape[-1]
+    s, k, b = (t.data.astype(np.float64) for t in (scores, taps, bias))
+    kbar = functools.reduce(np.add, (s[..., i, None, None, None] * k[..., i, :, :, :] for i in range(n)))
+    bbar = functools.reduce(np.add, (s[..., i] * b[..., i] for i in range(n)))
+    cols = x.data.astype(np.float64).reshape(lead + (h * w, c)) @ np.swapaxes(kbar.reshape(lead + (9, c)), -1, -2)
+    cols = cols.reshape(lead + (h, w, 3, 3))
+    acc = np.zeros(lead + (h + 2, w + 2))
+    for dy, dx in np.ndindex(3, 3):
+        acc[..., 2 - dy : 2 - dy + h, 2 - dx : 2 - dx + w] += cols[..., dy, dx]
+    return (acc[..., 1 : h + 1, 1 : w + 1] + bbar[..., None, None]).astype(x.data.dtype)
 
 
 def unshared_image_checks(cfg, sample, rng) -> list:

@@ -19,7 +19,7 @@ from refseg.data import GrammarConfig, generate_scene, generate_split, vocabular
 from refseg.model import Model
 from refseg.nn import ParamStore
 
-from composite_ops import taped_aggregate
+from composite_ops import sequential_merge_weighted_conv, taped_aggregate
 from test_tensor_ops import naive_conv
 
 
@@ -312,6 +312,17 @@ class TestAggregate:
                 assert g is None and mode == "no_estimator", name
                 continue
             assert g.shape == ref.shape and np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 9])
+    def test_merge_adds_in_query_order(self, rng, n, lead, dtype):
+        """The one float64 sum over the query axis is byte for byte the
+        sequential merge in query order: numpy reduces a non-innermost axis
+        in index order."""
+        inputs = _head_inputs(rng, lead, n, dtype, cp=16)
+        y = ad.weighted_conv(*inputs).data
+        assert y.tobytes() == sequential_merge_weighted_conv(*inputs).tobytes()
 
     def test_mismatched_shapes_rejected(self, rng):
         f_p, taps, bias, scores = _head_inputs(rng, (), 3, np.float64)

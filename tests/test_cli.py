@@ -202,6 +202,30 @@ def test_usage_error_exit_code_1(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent", "--data", "/nonexistent"]) == 1
 
 
+def test_train_config_and_resume_are_exclusive(tmp_path, dataset, capsys):
+    """Both sources at once used to train from the checkpoint and ignore
+    ``--config``; now it is a usage error that names the clash."""
+    out = tmp_path / "run"
+    config = str(tiny_config_file(tmp_path, dataset, out))
+    assert main(["train", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--resume", str(out / "checkpoint.eavc")]) == 1
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_empty_training_split_exits_1(tmp_path, dataset, capsys, command):
+    """An empty ``train/samples.jsonl`` is a typed error before step 1, not a
+    ZeroDivisionError from the batch stream."""
+    (dataset / "train" / "samples.jsonl").write_text("")
+    config = str(tiny_config_file(tmp_path, dataset, tmp_path / "run"))
+    argv = [command, "--config", config] + (["--seeds", "0"] if command == "ablate" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "empty training set" in err and "Traceback" not in err
+
+
 def test_missing_input_paths_exit_1_naming_the_path(tmp_path, dataset, capsys):
     """Each command given a missing (or non-UTF-8) file exits 1 with a
     typed error that names the path; ``main`` catches nothing but

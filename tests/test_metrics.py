@@ -1,12 +1,18 @@
 """Loss and evaluation metrics against brute-force oracles."""
 
 import dataclasses
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refseg import autodiff as ad
+from refseg import metrics
+from refseg.aligner import MaskGenerator
 from refseg.autodiff import Tensor
 from refseg.data import generate_split, vocabulary_for
 from refseg.errors import ConfigError, DimensionError
@@ -23,6 +29,8 @@ from refseg.metrics import (
 )
 from refseg.model import Model
 from refseg.nn import ParamStore
+
+EVAL_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "eval_digest.py"
 
 
 class TestBceLoss:
@@ -226,6 +234,32 @@ class TestEvaluate:
         with pytest.raises(DimensionError, match="sample 2"):
             evaluate(_StubModel({"a": np.zeros((4, 4))}), samples)
 
+    def test_chunk_with_mask_of_other_shape_rejected(self):
+        gt = np.zeros((8, 8), dtype=np.uint8)
+        odd = dataclasses.replace(_sample("a", gt), gt_mask=np.zeros((16, 16), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="sample 1"):
+            evaluate(_StubModel({"a": np.zeros((4, 4))}), [_sample("a", gt), odd])
+
+    def test_one_threshold_per_chunk(self, monkeypatch, rng):
+        real, calls = metrics.predict_binary_mask, []
+        monkeypatch.setattr(metrics, "predict_binary_mask", lambda y, hw: calls.append(y.shape) or real(y, hw))
+        gt = np.zeros((8, 8), dtype=np.uint8)
+        evaluate(_StubModel({"a": rng.standard_normal((4, 4))}), [_sample("a", gt)] * 17)
+        assert calls == [(8, 4, 4), (8, 4, 4), (1, 4, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_read_out_equals_per_sample(self, rng, dtype):
+        """A leading batch axis changes no byte of the thresholded masks or
+        of the nearest-neighbour targets."""
+        logits = rng.standard_normal((5, 6, 7)).astype(dtype)
+        up = ad.bilinear_resize_array(logits[..., None], (13, 11))
+        assert up.tobytes() == np.stack([ad.bilinear_resize_array(y[..., None], (13, 11)) for y in logits]).tobytes()
+        batched = predict_binary_mask(logits, (13, 11))
+        assert batched.tobytes() == np.stack([predict_binary_mask(y, (13, 11)) for y in logits]).tobytes()
+        gts = (rng.random((5, 13, 11)) > 0.5).astype(np.uint8)
+        small = downsample_mask_nearest(gts, (6, 7))
+        assert small.tobytes() == np.stack([downsample_mask_nearest(g, (6, 7)) for g in gts]).tobytes()
+
     def test_threshold_keys_exact(self):
         report = report_from_ious(np.array([1]), np.array([2]))
         assert set(report.precision_at) == {0.5, 0.6, 0.7, 0.8, 0.9}
@@ -241,3 +275,29 @@ def test_report_bounds_and_monotonicity(pairs):
     assert all(0.0 <= v <= 1.0 for v in values)
     ordered = [report.precision_at[t] for t in sorted(report.precision_at)]
     assert all(a >= b for a, b in zip(ordered, ordered[1:]))
+
+
+def test_eval_digest_is_stable_and_reads_report_and_mask_bits(capsys, monkeypatch):
+    def digest():
+        runpy.run_path(str(EVAL_DIGEST), run_name="__main__")
+        return capsys.readouterr().out
+
+    first = digest()
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first) and digest() == first
+    real_report, real_apply = metrics.report_from_ious, MaskGenerator.apply_dynamic_kernel
+
+    def mean_iou_off_by_an_ulp(inters, unions):
+        report = real_report(inters, unions)
+        return dataclasses.replace(report, mean_iou=np.nextafter(report.mean_iou, 1.0))
+
+    def one_mask_entry_off_by_an_ulp(self, f_p, taps, bias):
+        out = real_apply(self, f_p, taps, bias)
+        out.data.flat[-1] = np.nextafter(out.data.flat[-1], np.inf)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "report_from_ious", mean_iou_off_by_an_ulp)
+        assert digest() != first
+    with monkeypatch.context() as m:
+        m.setattr(MaskGenerator, "apply_dynamic_kernel", one_mask_entry_off_by_an_ulp)
+        assert digest() != first
