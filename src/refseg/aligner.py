@@ -18,16 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .errors import DimensionError
-from .nn import (
-    FeedForward,
-    LayerNorm,
-    MultiHeadAttention,
-    ParamStore,
-    conv_init,
-    linear,
-    linear_init,
-    zeros_init,
-)
+from .nn import Conv, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, linear, linear_init, zeros_init
 
 
 class TransformerDecoder:
@@ -96,8 +87,7 @@ class MaskGenerator:
         c = cfg.fusion_width
         cp = cfg.kernel_channels
         self.cfg = cfg
-        self.conv_p = store.parameter("aligner.conv_p.kernel", (3, 3, c, cp), conv_init(3, c))
-        self.conv_p_b = store.parameter("aligner.conv_p.bias", (cp,), zeros_init)
+        self.conv_p = Conv(store, "aligner.conv_p", 3, c, cp)
         # for unit-scale queries each generated tap starts with the variance
         # of a He-initialised 3x3xCp conv weight, as the fixed head's kernel
         # does; a 1/sqrt(C) init starts the mask logits at an RMS of 4-12,
@@ -105,13 +95,11 @@ class MaskGenerator:
         self.w_p = store.matrix("aligner.w_p", c, 9 * cp + 1, gain=2.0 / (9 * cp))
         self.b_p = store.parameter("aligner.b_p", (9 * cp + 1,), zeros_init)
         # fixed-kernel ablation head: one ordinary learned conv over F_p
-        self.fixed_kernel = store.parameter("aligner.fixed.kernel", (3, 3, cp, 1), conv_init(3, cp))
-        self.fixed_bias = store.parameter("aligner.fixed.bias", (1,), zeros_init)
+        self.fixed = Conv(store, "aligner.fixed", 3, cp, 1)
 
     def project_fp(self, f_s: Tensor) -> Tensor:
         """(..., S, S, C) -> (..., 4S, 4S, Cp): upsample, 3x3 conv, upsample."""
-        mid = ad.conv2d(ad.upsample2x(f_s), self.conv_p.value, self.conv_p_b.value)
-        return ad.upsample2x(mid)
+        return ad.upsample2x(self.conv_p(ad.upsample2x(f_s)))
 
     def kernel_from_query(self, f_q: Tensor) -> tuple:
         """(..., N, C) queries -> (..., N, 3, 3, Cp) taps and (..., N)
@@ -136,8 +124,7 @@ class MaskGenerator:
         return Tensor(np.moveaxis(out.data, -1, -3).astype(f_p.dtype, copy=False))
 
     def fixed_head(self, f_p: Tensor) -> Tensor:
-        out = ad.conv2d(f_p, self.fixed_kernel.value, self.fixed_bias.value)
-        return ad.reshape(out, f_p.shape[:-1])
+        return ad.reshape(self.fixed(f_p), f_p.shape[:-1])
 
 
 class QueryEstimator:

@@ -58,8 +58,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate a dataset from a manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest", help="manifest file; a default is used when omitted")
-    p.add_argument("--image-size", type=int, default=64)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--manifest", help="manifest file; a default is used when omitted")
+    source.add_argument("--image-size", type=int, help="image size of the default manifest (64 when omitted)")
 
     p = sub.add_parser("train", help="train a model from a key=value config")
     source = p.add_mutually_exclusive_group(required=True)
@@ -104,7 +105,7 @@ def _cmd_gen_data(args) -> int:
     if args.manifest:
         manifest = read_kv_file(args.manifest)
     else:
-        manifest = default_manifest(image_size=args.image_size)
+        manifest = default_manifest() if args.image_size is None else default_manifest(args.image_size)
     splits, grammar, _ = generate_from_manifest(manifest)
     save_dataset(args.out, splits, grammar, manifest)
     sizes = {name: len(samples) for name, samples in splits.items()}

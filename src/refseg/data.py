@@ -89,6 +89,10 @@ class ShapeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShapeSpec":
+        if d["kind"] not in SHAPE_KINDS:
+            raise ValueError(f"unknown shape kind {d['kind']!r}")
+        if d["color"] not in COLOR_TABLE:
+            raise ValueError(f"unknown color {d['color']!r}")
         return cls(d["kind"], d["color"], float(d["cx"]), float(d["cy"]), float(d["size"]))
 
 
@@ -399,9 +403,11 @@ _RECORD_TYPES = {"index": int, "seed": int, "expression": str, "template": str, 
 
 
 def load_split(root, name: str) -> list:
-    """A split's samples.  A malformed record, a missing, truncated or
-    malformed image or mask file, or a mask of another size than its image
-    raises ``ConfigError`` naming the record's line."""
+    """A split's samples.  A malformed record (an unparseable expression, a
+    template the expression does not have, a target that is not one of the
+    shapes, a shape kind or color outside the grammar), a missing, truncated
+    or malformed image or mask file, or a mask of another size than its
+    image raises ``ConfigError`` naming the record's line."""
     sdir = Path(root) / name
     path = sdir / "samples.jsonl"
     samples = []
@@ -416,7 +422,12 @@ def load_split(root, name: str) -> list:
             if rec["index"] < 0:
                 raise ValueError(f"negative index {rec['index']}")
             shapes = [ShapeSpec.from_dict(d) for d in rec["shapes"]]
-        except (KeyError, TypeError, ValueError) as e:
+            struct = parse_expression(rec["expression"])
+            if struct[0] != rec["template"]:
+                raise ValueError(f"template {rec['template']!r} for a {struct[0]} expression")
+            if not 0 <= rec["target"] < len(shapes):
+                raise ValueError(f"target {rec['target']} of {len(shapes)} shapes")
+        except (ConfigError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{where}: malformed record: {type(e).__name__}: {e}") from None
         i = rec["index"]
         try:
@@ -433,7 +444,7 @@ def load_split(root, name: str) -> list:
                 gt_mask=gt,
                 shapes=shapes,
                 target_index=rec["target"],
-                expression_struct=parse_expression(rec["expression"]),
+                expression_struct=struct,
                 seed=rec["seed"],
             )
         )

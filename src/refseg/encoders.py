@@ -15,18 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig, read_text
 from .errors import ConfigError, VocabularyError
-from .nn import (
-    FeedForward,
-    LayerNorm,
-    MultiHeadAttention,
-    ParamStore,
-    conv_init,
-    linear,
-    linear_init,
-    normal_init,
-    ones_init,
-    zeros_init,
-)
+from .nn import Conv, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, linear, normal_init, ones_init
 
 PAD_TOKEN = "<pad>"
 SOS_TOKEN = "<sos>"
@@ -171,7 +160,7 @@ class TextEncoder:
         e = np.asarray(tokens.eos_position)
         lead = np.indices(e.shape + (1,), sparse=True)[:-1]
         eos_row = ad.getitem(x, (*lead, e[..., None]))
-        f_tg = ad.reshape(ad.matmul(eos_row, self.w_tg.value), e.shape + (self.cfg.text_global_width,))
+        f_tg = ad.reshape(linear(eos_row, self.w_tg), e.shape + (self.cfg.text_global_width,))
         return TextFeatures(f_t=x, f_tg=f_tg)
 
 
@@ -186,18 +175,9 @@ class ImageEncoder:
     """
 
     def __init__(self, store: ParamStore, cfg: ModelConfig) -> None:
-        self.cfg = cfg
         chans = cfg.backbone_channels
-        self.convs = []
-        cin = 3
-        for i, cout in enumerate(chans):
-            self.convs.append(
-                (
-                    store.parameter(f"image.stage{i + 1}.kernel", (3, 3, cin, cout), conv_init(3, cin)),
-                    store.parameter(f"image.stage{i + 1}.bias", (cout,), zeros_init),
-                )
-            )
-            cin = cout
+        cins = (3,) + chans[:3]
+        self.convs = [Conv(store, f"image.stage{i + 1}", 3, cins[i], chans[i]) for i in range(4)]
         c4 = chans[3]
         side4 = cfg.image_size // 16
         self.pool_pos = store.parameter("image.pool_pos", (side4 * side4, c4), normal_init(0.01))
@@ -223,9 +203,8 @@ class ImageEncoder:
             raise ConfigError(f"expected an RGB image or a batch of them, got {image.shape}")
         x = image
         stages = []
-        for kernel, bias in self.convs:
-            x = ad.conv2d(x, kernel.value, bias.value)
-            x = ad.avgpool2x(ad.relu(x))
+        for conv in self.convs:
+            x = ad.avgpool2x(ad.relu(conv(x)))
             stages.append(x)
         x2, x3, x4 = stages[1], stages[2], stages[3]
 
@@ -239,6 +218,6 @@ class ImageEncoder:
 
         f_v2 = linear(x2, self.w_v2, rows=2)
         f_v3 = linear(x3, self.w_v3, rows=2)
-        f_v4 = ad.reshape(ad.matmul(z, self.w_z.value), lead + (h4, w4, c4))
-        f_vg = ad.reshape(ad.add(ad.matmul(zbar, self.w_zbar.value), self.b_zbar.value), lead + (c4,))
+        f_v4 = ad.reshape(linear(z, self.w_z), lead + (h4, w4, c4))
+        f_vg = ad.reshape(linear(zbar, self.w_zbar, self.b_zbar), lead + (c4,))
         return ImageFeatures(f_v2=f_v2, f_v3=f_v3, f_v4=f_v4, f_vg=f_vg)

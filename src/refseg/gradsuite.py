@@ -65,29 +65,32 @@ def _feature_shapes(cfg) -> list:
 
 
 class ForwardCache:
-    """Runs ``fn`` once per state of ``arena``, a slice of a packed store's
-    arena that determines ``fn``'s result, keyed exactly by the indices and
-    ``uint64`` bits of the entries that differ from their values at
-    construction (so -0.0 and +0.0 differ).  A taped call always runs ``fn``,
-    so its tape records the nodes, and stores the result for its state."""
+    """Runs ``fn`` once per state of the entries ``index`` of ``arena``, a
+    packed store's arena, that determine ``fn``'s result, keyed exactly by
+    the positions and ``uint64`` bits of the entries that differ from their
+    values at construction (so -0.0 and +0.0 differ).  A taped call always
+    runs ``fn``, so its tape records the nodes, and stores the result for
+    its state."""
 
-    def __init__(self, fn, arena: np.ndarray) -> None:
-        self.fn, self.bits, self.results = fn, arena.view(np.uint64), {}
-        self.start = self.bits.copy()
+    def __init__(self, fn, arena: np.ndarray, index=slice(None)) -> None:
+        self.fn, self.bits, self.index, self.results = fn, arena.view(np.uint64), index, {}
+        self.start = self.bits[index].copy()
 
     def __call__(self, *args, **kwargs):
-        idx = np.flatnonzero(self.bits != self.start)
-        key = idx.tobytes() + self.bits[idx].tobytes()
+        bits = self.bits[self.index]
+        idx = np.flatnonzero(bits != self.start)
+        key = idx.tobytes() + bits[idx].tobytes()
         if ad._TAPE_STACK or key not in self.results:
             self.results[key] = self.fn(*args, **kwargs)
         return self.results[key]
 
 
 # Model.forward's stages in its order: (Model attribute, prefix of its own
-# parameters).  Only the first FIXED_INPUT_STAGES read no earlier stage.
+# parameters); and the earlier stages whose outputs each stage reads.
 MODEL_STAGES = (("text_encoder", "text."), ("image_encoder", "image."), ("neck", "neck."),
                 ("query_gen", "queries."), ("decoder", "decoder."))
-FIXED_INPUT_STAGES = 2
+STAGE_READS = {"neck": ("text_encoder", "image_encoder"), "query_gen": ("text_encoder", "image_encoder"),
+               "decoder": ("neck", "query_gen")}
 
 
 def _param(store, name, shape, rng):
@@ -240,10 +243,9 @@ def _image_checks(cfg, sample, rng) -> list:
 
 def end_to_end_check():
     """The tiny model's loss over all its parameters.  Each ``MODEL_STAGES``
-    stage runs in a ``ForwardCache`` keyed on its own parameters if its input
-    is fixed, else on the arena from its start through its own parameters.
-    Raises ``ConfigError`` unless each stage's parameters are one run of the
-    arena after the previous stage's, so a stale output can never be served."""
+    stage runs in a ``ForwardCache`` keyed on its own parameters and on the
+    keys of the stages it reads (``STAGE_READS``), wherever they sit in the
+    arena.  Raises ``ConfigError`` for a stage prefix that names no parameter."""
     cfg = tiny_config()
     grammar = GrammarConfig(image_size=cfg.image_size, max_shapes=3)
     vocab = vocabulary_for(grammar)
@@ -252,14 +254,14 @@ def end_to_end_check():
     tokens = model.tokenize(sample.expression)
     image = Tensor(np.asarray(sample.image, dtype=np.float64))
     gt = downsample_mask_nearest(sample.gt_mask, (cfg.mask_size, cfg.mask_size))
-    params, offsets, end, caches = model.parameters(), model.store.offsets, 0, []
-    for k, (attr, prefix) in enumerate(MODEL_STAGES):
-        own = [i for i, p in enumerate(params) if p.name.startswith(prefix)]
-        if not own or own != list(range(end, end + len(own))):
-            raise ConfigError(f"stage {attr!r}: its {prefix}* parameters do not follow the previous stage's")
-        lo, end = offsets[end] if k < FIXED_INPUT_STAGES else 0, end + len(own)
-        hi = offsets[end - 1] + params[end - 1].value.size
-        caches.append(ForwardCache(getattr(model, attr), model.store.arena[lo:hi]))
+    params, offsets, keys, caches = model.parameters(), model.store.offsets, {}, []
+    for attr, prefix in MODEL_STAGES:
+        own = {i for i, p in enumerate(params) if p.name.startswith(prefix)}
+        if not own:
+            raise ConfigError(f"stage {attr!r}: no parameter name starts with {prefix!r}")
+        keys[attr] = sorted(own.union(*(keys[r] for r in STAGE_READS.get(attr, ()))))
+        index = np.concatenate([np.arange(offsets[i], offsets[i] + params[i].value.size) for i in keys[attr]])
+        caches.append(ForwardCache(getattr(model, attr), model.store.arena, index))
         setattr(model, attr, caches[-1])
 
     def f():

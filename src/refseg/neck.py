@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import ImageFeatures
 from .errors import DimensionError
-from .nn import ParamStore, conv_init, linear, zeros_init
+from .nn import Conv, ParamStore, linear
 
 
 def coord_features(h: int, w: int, dtype=np.float32) -> Tensor:
@@ -37,7 +37,6 @@ class _PyramidFuser:
         c = cfg.fusion_width
         cp = c // 2
         c4 = cfg.backbone_channels[3]
-        self.cfg = cfg
         # gain 2: each projection feeds a ReLU and there is no norm layer
         # downstream to recover a shrinking signal
         self.w_v4 = store.matrix(f"{prefix}.w_v4", c4, c, gain=2.0)
@@ -45,10 +44,8 @@ class _PyramidFuser:
         self.w_v3 = store.matrix(f"{prefix}.w_v3", c4, cp, gain=2.0)
         self.w_m3 = store.matrix(f"{prefix}.w_m3", c, cp, gain=2.0)
         self.w_v2 = store.matrix(f"{prefix}.w_v2", c4, cp, gain=2.0)
-        self.conv_m = store.parameter(f"{prefix}.conv_m.kernel", (1, 1, 3 * c, c), conv_init(1, 3 * c))
-        self.conv_m_b = store.parameter(f"{prefix}.conv_m.bias", (c,), zeros_init)
-        self.conv_inte = store.parameter(f"{prefix}.conv_inte.kernel", (1, 1, c + 2, c), conv_init(1, c + 2))
-        self.conv_inte_b = store.parameter(f"{prefix}.conv_inte.bias", (c,), zeros_init)
+        self.conv_m = Conv(store, f"{prefix}.conv_m", 1, 3 * c, c)
+        self.conv_inte = Conv(store, f"{prefix}.conv_inte", 1, c + 2, c)
 
     def fuse_multiscale(self, f_m4: Tensor, f_v3: Tensor, f_v2: Tensor) -> Tensor:
         if f_v2.shape[-3:-1] != (2 * f_v3.shape[-3], 2 * f_v3.shape[-2]):
@@ -67,7 +64,7 @@ class _PyramidFuser:
             axis=-1,
         )
         stacked = ad.concat([f_m2, f_m3, f_m4], axis=-1)
-        return ad.conv2d(stacked, self.conv_m.value, self.conv_m_b.value)
+        return self.conv_m(stacked)
 
     def __call__(self, f_m4: Tensor, feats: ImageFeatures) -> Tensor:
         """(..., S, S, C) fused stage-4 map and the stage-3/2 features ->
@@ -76,7 +73,7 @@ class _PyramidFuser:
         f_m = self.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
         coords = coord_features(*f_m.shape[-3:-1], dtype=f_m.data.dtype).data
         stacked = ad.concat([f_m, Tensor(np.broadcast_to(coords, f_m.shape[:-1] + (2,)))], axis=-1)
-        return ad.conv2d(stacked, self.conv_inte.value, self.conv_inte_b.value)
+        return self.conv_inte(stacked)
 
 
 class FusionNeck:
@@ -87,10 +84,8 @@ class FusionNeck:
 
     def fuse_stage4(self, f_v4: Tensor, f_tg: Tensor) -> Tensor:
         """Language-gated stage-4 features, upsampled onto the fusion grid."""
-        vis = ad.relu(ad.matmul(f_v4, self.fuser.w_v4.value, rows=2))
-        gate = ad.relu(
-            ad.matmul(ad.reshape(f_tg, f_tg.shape[:-1] + (1, 1, f_tg.shape[-1])), self.w_tg.value)
-        )
+        vis = ad.relu(linear(f_v4, self.fuser.w_v4, rows=2))
+        gate = ad.relu(linear(ad.reshape(f_tg, f_tg.shape[:-1] + (1, 1, f_tg.shape[-1])), self.w_tg))
         return ad.upsample2x(ad.mul(vis, gate))
 
     def __call__(self, feats: ImageFeatures, f_tg: Tensor) -> Tensor:

@@ -1,4 +1,5 @@
-"""Parameter management and the attention/feed-forward building blocks."""
+"""Parameter management and the layers every model module builds on:
+linear, conv, layer norm, attention and feed-forward."""
 
 from __future__ import annotations
 
@@ -130,6 +131,18 @@ def linear(x: Tensor, w: Parameter, b: Optional[Parameter] = None, *, rows: int 
     if b is not None:
         y = ad.add(y, b.value)
     return y
+
+
+class Conv:
+    """A learned k x k convolution: ``{name}.kernel`` (He init), then
+    ``{name}.bias`` (zeros)."""
+
+    def __init__(self, store: ParamStore, name: str, k: int, cin: int, cout: int) -> None:
+        self.kernel = store.parameter(f"{name}.kernel", (k, k, cin, cout), conv_init(k, cin))
+        self.bias = store.parameter(f"{name}.bias", (cout,), zeros_init)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.conv2d(x, self.kernel.value, self.bias.value)
 
 
 class LayerNorm:

@@ -13,7 +13,7 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .encoders import ImageFeatures, TextFeatures, TokenSequence, pad_key_bias
 from .neck import _PyramidFuser
-from .nn import ParamStore, conv_init, zeros_init
+from .nn import Conv, ParamStore, linear
 
 
 def _near_channel_average(rng, shape, dtype):
@@ -38,16 +38,8 @@ class QueryGenerator:
         # and no language gate on stage 4
         self.fuser = _PyramidFuser(store, "queries.dense", cfg)
         mid1, mid2 = max(1, c // 2), max(1, c // 4)
-        self.reduce = []
-        for i, (cin, cout) in enumerate(
-            [(c, mid1), (mid1, mid2), (mid2, cfg.num_queries)]
-        ):
-            self.reduce.append(
-                (
-                    store.parameter(f"queries.reduce{i}.kernel", (3, 3, cin, cout), conv_init(3, cin)),
-                    store.parameter(f"queries.reduce{i}.bias", (cout,), zeros_init),
-                )
-            )
+        widths = (c, mid1, mid2, cfg.num_queries)
+        self.reduce = [Conv(store, f"queries.reduce{i}", 3, widths[i], widths[i + 1]) for i in range(3)]
         self.w_t = store.matrix("queries.w_t", c, c, gain=2.0)
         # the gate starts as the channel average of F_vg, which the image
         # encoder offsets by one (see fuse_language_global)
@@ -58,13 +50,11 @@ class QueryGenerator:
 
     def dense_vision(self, feats: ImageFeatures) -> Tensor:
         """(..., N_q, S*S) saliency rows from the un-gated feature pyramid."""
-        f_m4 = ad.upsample2x(ad.relu(ad.matmul(feats.f_v4, self.fuser.w_v4.value, rows=2)))
+        f_m4 = ad.upsample2x(ad.relu(linear(feats.f_v4, self.fuser.w_v4, rows=2)))
         x = self.fuser(f_m4, feats)
         s_h, s_w = x.shape[-3:-1]
-        for i, (kernel, bias) in enumerate(self.reduce):
-            if i > 0:
-                x = ad.relu(x)
-            x = ad.conv2d(x, kernel.value, bias.value)
+        for i, conv in enumerate(self.reduce):
+            x = conv(ad.relu(x) if i else x)
         return ad.transpose(ad.reshape(x, x.shape[:-3] + (s_h * s_w, self.cfg.num_queries)))
 
     def fuse_language_global(self, f_t: Tensor, f_vg: Tensor, use_fvg: bool = True) -> Tensor:
@@ -78,24 +68,24 @@ class QueryGenerator:
         training learns which channels the image should boost or suppress.
         A gate drawn at random instead zeroes about half the channels of
         every word."""
-        text = ad.relu(ad.matmul(f_t, self.w_t.value))
+        text = ad.relu(linear(f_t, self.w_t))
         if not use_fvg:
             return text
-        gate = ad.relu(ad.matmul(ad.reshape(f_vg, f_vg.shape[:-1] + (1, f_vg.shape[-1])), self.w_vg.value))
+        gate = ad.relu(linear(ad.reshape(f_vg, f_vg.shape[:-1] + (1, f_vg.shape[-1])), self.w_vg))
         return ad.mul(text, gate)
 
     def attention_map(self, f_vd: Tensor, f_tv: Tensor, tokens: TokenSequence) -> Tensor:
         """(..., N_q, L) softmax rows over words; each sample's pad columns
         are exactly zero."""
-        proj_v = ad.relu(ad.matmul(f_vd, self.w_vd.value))
-        proj_t = ad.relu(ad.matmul(f_tv, self.w_a.value))
+        proj_v = ad.relu(linear(f_vd, self.w_vd))
+        proj_t = ad.relu(linear(f_tv, self.w_a))
         logits = ad.matmul(proj_v, ad.transpose(proj_t))
         bias = pad_key_bias(tokens, self.cfg.max_tokens, logits.data.dtype)
         bias = bias.reshape(bias.shape[:-1] + (1, bias.shape[-1]))
         return ad.softmax(ad.add(logits, Tensor(bias)), axis=-1)
 
     def make_queries(self, a: Tensor, f_tv: Tensor) -> Tensor:
-        return ad.matmul(a, ad.relu(ad.matmul(f_tv, self.w_tv.value)))
+        return ad.matmul(a, ad.relu(linear(f_tv, self.w_tv)))
 
     def __call__(
         self,

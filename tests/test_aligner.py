@@ -71,7 +71,7 @@ class TestMaskGenerator:
         gen, _ = build(MaskGenerator, tiny_cfg)
         s = tiny_cfg.grid_size
         f_p = gen.project_fp(Tensor(np.zeros((s, s, tiny_cfg.fusion_width))))
-        expected = np.broadcast_to(gen.conv_p_b.value.data, f_p.shape)
+        expected = np.broadcast_to(gen.conv_p.bias.value.data, f_p.shape)
         assert np.allclose(f_p.data, expected)
 
     def test_project_fp_matches_compositional_oracle(self, tiny_cfg, rng):
@@ -80,7 +80,7 @@ class TestMaskGenerator:
         f_s = rng.standard_normal((s, s, tiny_cfg.fusion_width))
         f_p = gen.project_fp(Tensor(f_s))
         up1 = ad.bilinear_resize_array(f_s, (2 * s, 2 * s))
-        mid = naive_conv(up1, gen.conv_p.value.data, gen.conv_p_b.value.data)
+        mid = naive_conv(up1, gen.conv_p.kernel.value.data, gen.conv_p.bias.value.data)
         up2 = ad.bilinear_resize_array(mid, (4 * s, 4 * s))
         assert np.allclose(f_p.data, up2, atol=1e-12)
 

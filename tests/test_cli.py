@@ -214,6 +214,18 @@ def test_train_config_and_resume_are_exclusive(tmp_path, dataset, capsys):
     assert "not allowed with argument" in err and "Traceback" not in err
 
 
+def test_gen_data_manifest_and_image_size_are_exclusive(tmp_path, capsys):
+    """Both at once used to write the manifest's image size and drop
+    ``--image-size`` without a word; now it is a usage error that names the
+    clash, even when the size given is the default one."""
+    out = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out), "--manifest", str(tiny_manifest(tmp_path)), "--image-size", "64"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--image-size: not allowed with argument --manifest" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_empty_training_split_exits_1(tmp_path, dataset, capsys, command):
     """An empty ``train/samples.jsonl`` is a typed error before step 1, not a

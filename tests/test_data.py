@@ -203,6 +203,32 @@ def test_malformed_samples_record_names_file_and_line(tmp_path, how):
         load_split(tmp_path, "train")
 
 
+RECORD_EDITS = {
+    "unparseable_expression": (lambda rec: rec.update(expression="red"), "unparseable expression 'red'"),
+    "other_template": (
+        lambda rec: rec.update(template="relation" if rec["template"] != "relation" else "attribute"),
+        r"template '\w+' for a \w+ expression",
+    ),
+    "target_past_the_shapes": (lambda rec: rec.update(target=99), r"target 99 of \d shapes"),
+    "negative_target": (lambda rec: rec.update(target=-1), r"target -1 of \d shapes"),
+    "unknown_kind": (lambda rec: rec["shapes"][0].update(kind="hexagon"), "unknown shape kind 'hexagon'"),
+    "unknown_color": (lambda rec: rec["shapes"][0].update(color="mauve"), "unknown color 'mauve'"),
+}
+
+
+@pytest.mark.parametrize("how", RECORD_EDITS)
+def test_record_its_scene_contradicts_names_file_and_line(tmp_path, how):
+    edit, problem = RECORD_EDITS[how]
+    path = _saved_train_split(tmp_path) / "samples.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"samples\.jsonl line 2: malformed record: \w+: " + problem):
+        load_split(tmp_path, "train")
+
+
 def test_missing_image_names_file_and_line(tmp_path):
     sdir = _saved_train_split(tmp_path)
     (sdir / "images" / "00001.ppm").unlink()

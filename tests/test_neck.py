@@ -65,7 +65,7 @@ def test_concat_width_bookkeeping(tiny_cfg, rng):
     f_m4 = neck.fuse_stage4(feats.f_v4, f_tg)
     assert f_m4.shape[2] == c
     # the 1x1 aggregation consumes a 3C-wide concat and emits C
-    assert neck.fuser.conv_m.value.shape == (1, 1, 3 * c, c)
+    assert neck.fuser.conv_m.kernel.value.shape == (1, 1, 3 * c, c)
     f_m = neck.fuser.fuse_multiscale(f_m4, feats.f_v3, feats.f_v2)
     assert f_m.shape[2] == c
 
@@ -107,8 +107,8 @@ def test_zero_side_branches_leave_stage4_path(tiny_cfg, rng):
         axis=2,
     )
     stacked = np.concatenate([m2, m3, m4], axis=2)
-    kmat = neck.fuser.conv_m.value.data.reshape(3 * tiny_cfg.fusion_width, tiny_cfg.fusion_width)
-    expected = stacked.reshape(-1, stacked.shape[2]) @ kmat + neck.fuser.conv_m_b.value.data
+    kmat = neck.fuser.conv_m.kernel.value.data.reshape(3 * tiny_cfg.fusion_width, tiny_cfg.fusion_width)
+    expected = stacked.reshape(-1, stacked.shape[2]) @ kmat + neck.fuser.conv_m.bias.value.data
     assert np.allclose(f_m.data.reshape(-1, tiny_cfg.fusion_width), expected)
 
 
@@ -138,14 +138,14 @@ def test_full_neck_matches_compositional_oracle(tiny_cfg, rng):
         [relu(proj(m3, neck.fuser.w_m3.value.data)), relu(proj(v2p, neck.fuser.w_v2.value.data))],
         axis=2,
     )
-    f_m = proj(np.concatenate([m2, m3, m4], axis=2), neck.fuser.conv_m.value.data.reshape(3 * c, c))
-    f_m = f_m + neck.fuser.conv_m_b.value.data
+    f_m = proj(np.concatenate([m2, m3, m4], axis=2), neck.fuser.conv_m.kernel.value.data.reshape(3 * c, c))
+    f_m = f_m + neck.fuser.conv_m.bias.value.data
     assert np.allclose(fused_m.data, f_m, atol=1e-10)
 
     s = m4.shape[0]
     coords = coord_features(s, s, dtype=np.float64).data
-    inte = proj(np.concatenate([f_m, coords], axis=2), neck.fuser.conv_inte.value.data.reshape(c + 2, c))
-    inte = inte + neck.fuser.conv_inte_b.value.data
+    inte = proj(np.concatenate([f_m, coords], axis=2), neck.fuser.conv_inte.kernel.value.data.reshape(c + 2, c))
+    inte = inte + neck.fuser.conv_inte.bias.value.data
     assert np.allclose(f_vt.data, inte.reshape(s * s, c), atol=1e-10)
 
 

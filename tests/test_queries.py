@@ -58,21 +58,21 @@ def test_dense_vision_matches_compositional_oracle(tiny_cfg, rng):
         axis=2,
     )
     c = tiny_cfg.fusion_width
-    f_m = proj(np.concatenate([m2, m3, m4], axis=2), gen.fuser.conv_m.value.data.reshape(3 * c, c))
-    f_m += gen.fuser.conv_m_b.value.data
+    f_m = proj(np.concatenate([m2, m3, m4], axis=2), gen.fuser.conv_m.kernel.value.data.reshape(3 * c, c))
+    f_m += gen.fuser.conv_m.bias.value.data
     s = f_m.shape[0]
     from refseg.neck import coord_features
 
     inte = proj(
         np.concatenate([f_m, coord_features(s, s, np.float64).data], axis=2),
-        gen.fuser.conv_inte.value.data.reshape(c + 2, c),
+        gen.fuser.conv_inte.kernel.value.data.reshape(c + 2, c),
     )
-    inte += gen.fuser.conv_inte_b.value.data
+    inte += gen.fuser.conv_inte.bias.value.data
     x = inte
-    for i, (k, b) in enumerate(gen.reduce):
+    for i, conv in enumerate(gen.reduce):
         if i > 0:
             x = relu(x)
-        x = conv3(x, k.value.data, b.value.data)
+        x = conv3(x, conv.kernel.value.data, conv.bias.value.data)
     expected = x.reshape(s * s, tiny_cfg.num_queries).T
     assert np.allclose(f_vd.data, expected, atol=1e-10)
 

@@ -1,6 +1,7 @@
 """Optimizer, schedule, training determinism, checkpoints."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import struct
@@ -21,6 +22,7 @@ import refseg.train as train_module
 from refseg.config import ModelConfig, TrainConfig
 from refseg.data import GrammarConfig, generate_split, vocabulary_for
 from refseg.errors import CheckpointError, ConfigError, NumericalError, RefsegError
+from refseg.gradsuite import tiny_config
 from refseg.model import Model
 from refseg.nn import ParamStore, zeros_init
 from refseg.train import (
@@ -324,6 +326,24 @@ def test_log_contains_step_loss_lr_and_eval(tiny_data):
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "cfg, count, digest",
+        [
+            (ModelConfig(), 148, "e082628d5d48a891d7ba49c42d2c4b4d05f4e933c3c45b43bff16480158d2be2"),
+            (tiny_config(), 109, "3f1d2df5efccd58b979d5b55502f98511839c5fdccd0cf821d9798271f3329ab"),
+        ],
+        ids=["default", "tiny"],
+    )
+    def test_parameter_table_is_pinned(self, cfg, count, digest):
+        """A checkpoint loads only into a model with the parameter table it
+        was saved with (names, shapes, arena order), so a layer refactor that
+        renames, reshapes or reorders a parameter fails here by name, before
+        it strands every saved file of this checkpoint version."""
+        model = Model(cfg, vocabulary_for(GrammarConfig()), seed=None)
+        table = train_module._param_table(model)
+        assert len(table) == count
+        assert hashlib.sha256(json.dumps(table).encode()).hexdigest() == digest
+
     def test_round_trip_reproduces_forward_bitwise(self, tiny_data, tmp_path):
         vocab, samples = tiny_data
         cfg = small_train_cfg(steps=3)
